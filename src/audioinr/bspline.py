@@ -9,6 +9,15 @@ one.  Inputs are clamped to the domain before evaluation.
 
 ``spline_bases`` exposes the basis matrix to the autodiff engine, with
 the derivative recurrence as its backward rule.
+
+``kan_layer`` is one whole KAN layer as a single tape op,
+``silu(x) @ w_bᵀ + B(clamp(x)) @ (w_s ⊙ coeffs)ᵀ``.  It walks the rows
+in blocks of ``max(1, BUDGET // (d_in * n_bases))``: each block's k+1
+band values are scattered into one reused dense buffer and multiplied
+against the flattened effective coefficients, so the dense
+``(n, d_in, n_bases)`` basis tensor never exists.  The graph keeps only
+the per-point cell index, band and derivative-band values, the sigmoid
+and the clamp mask; the backward pass re-scatters each block.
 """
 
 from __future__ import annotations
@@ -16,8 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
-from .tensor import Tensor, ContractError, _node, _accum, _as_tensor
+from .tensor import Tensor, ContractError, ShapeError, _node, _accum, _as_tensor
+
+# dense basis entries per row block of kan_layer: 512 KiB in float64,
+# small enough for the block buffer to stay in cache
+BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -162,3 +176,89 @@ def spline_bases(x: Tensor, grid: SplineGrid) -> Tensor:
             _accum(x, acc.reshape(shp))
 
     return _node(bases, (x,), bwd)
+
+
+def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
+              grid: SplineGrid) -> Tensor:
+    """Tape op: one KAN layer, x (n, d_in) -> (n, d_out).
+
+    Computes ``silu(x) @ w_bᵀ + B(clamp(x)) @ effᵀ`` with
+    ``eff = w_s[..., None] * coeffs`` (``eff = coeffs`` when ``w_s`` is
+    None), flattened to (d_out, d_in * n_bases).  Inputs outside the
+    grid are clamped before the spline, and the spline term passes no
+    gradient to them.  The bases are built and consumed one row block
+    at a time; the recursion runs in float64, the buffer and the matmuls
+    in x's dtype.
+    """
+    x, w_b, coeffs = _as_tensor(x), _as_tensor(w_b), _as_tensor(coeffs)
+    w_s = None if w_s is None else _as_tensor(w_s)
+    nb = grid.n_bases
+    if x.data.ndim != 2:
+        raise ShapeError(f"kan_layer input must be 2-D, got shape {x.shape}")
+    n, d_in = x.shape
+    d_out = w_b.shape[0]
+    if (w_b.shape != (d_out, d_in) or coeffs.shape != (d_out, d_in, nb)
+            or (w_s is not None and w_s.shape != (d_out, d_in))):
+        got = [t.shape for t in (w_b, w_s, coeffs) if t is not None]
+        raise ShapeError(f"kan_layer parameter shapes {got} do not fit input {x.shape} "
+                         f"with {nb} bases")
+    xd = x.data
+    eff = coeffs.data if w_s is None else w_s.data[..., None] * coeffs.data
+    eff2 = eff.reshape(d_out, d_in * nb)
+    sig = expit(xd)
+    out = (xd * sig) @ w_b.data.T
+
+    rows = max(1, BUDGET // (d_in * nb))
+    buf = np.zeros(min(rows, n) * d_in * nb, dtype=xd.dtype)
+    offsets = np.arange(min(rows, n) * d_in) * nb
+    blocks = []        # (start, stop, cell, band, dband) per row block
+
+    def scatter(cell, band):
+        """Fill the buffer with one block's bases; returns the flat
+        positions of band column 0 and the (m, d_in * nb) view."""
+        idx = offsets[:cell.size] + cell
+        dense = buf[:cell.size * nb]
+        dense.fill(0.0)
+        for p, col in enumerate(band):
+            dense[idx + p] = col
+        return idx, dense.reshape(-1, d_in * nb)
+
+    xc = np.clip(xd.astype(np.float64, copy=False), grid.lo, grid.hi)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        cell, band, dband = _banded_impl(xc[s:e].reshape(-1), grid, x.requires_grad)
+        _, dense = scatter(cell, band)
+        out[s:e] = out[s:e] + dense @ eff2.T
+        blocks.append((s, e, cell, band, dband))
+    mask = (xd >= grid.lo) & (xd <= grid.hi)
+
+    def bwd(g):
+        if w_b.requires_grad:
+            _accum(w_b, g.T @ (xd * sig))
+        if x.requires_grad:
+            dx = (g @ w_b.data) * (sig * (1.0 + xd * (1.0 - sig)))
+        need_eff = coeffs.requires_grad or (w_s is not None and w_s.requires_grad)
+        d_eff = np.zeros_like(eff2) if need_eff else None
+        for s, e, cell, band, dband in blocks:
+            idx, dense = scatter(cell, band)
+            gs = g[s:e]
+            if need_eff:
+                d_eff += gs.T @ dense
+            if x.requires_grad:
+                gflat = (gs @ eff2).reshape(-1)
+                acc = gflat[idx] * dband[0]
+                for p in range(1, grid.order + 1):
+                    acc += gflat[idx + p] * dband[p]
+                dx[s:e] += acc.reshape(e - s, d_in) * mask[s:e]
+        if x.requires_grad:
+            _accum(x, dx)
+        if need_eff:
+            d_eff = d_eff.reshape(eff.shape)
+            if w_s is None:
+                _accum(coeffs, d_eff)
+            else:
+                _accum(w_s, (d_eff * coeffs.data).sum(axis=-1))
+                _accum(coeffs, d_eff * w_s.data[..., None])
+
+    parents = (x, w_b, coeffs) if w_s is None else (x, w_b, w_s, coeffs)
+    return _node(out, parents, bwd)

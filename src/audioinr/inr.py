@@ -10,6 +10,10 @@ Six architectures behind one config type:
 - ``kan``    positional encoding + layers of learnable edge functions
              phi(x) = w_b silu(x) + w_s spline(x), nodes sum, no biases
 
+Each KAN layer runs as one ``bspline.kan_layer`` tape op, which builds
+its spline bases one block of rows at a time instead of as a dense
+(n, d_in, n_bases) tensor.
+
 Parameters flatten in a fixed layer-major order (dense: W then b; kan:
 w_b, w_s, coeffs), so flat vectors, additive deltas, and serialized
 payloads all agree.  Frozen state (the RFF projection) is derived from
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, ContractError, ShapeError
-from .bspline import make_grid, spline_bases
+from .bspline import kan_layer, make_grid
 
 ARCHS = ("nerf", "siren", "rff", "wire", "finer", "kan")
 
@@ -165,15 +169,11 @@ def _init_param(config, name, shape, layer_idx, n_layers, rng) -> np.ndarray:
         bound = math.sqrt(6.0 / d_in)                      # relu families
         return rng.uniform(-bound, bound, shape)
     # biases
-    fan_in = _fan_in_for_bias(config, layer_idx)
+    fan_in = layer_dims(config)[layer_idx]
     if config.arch == "finer" and layer_idx == 0:
         return rng.uniform(-config.finer_bias_bound, config.finer_bias_bound, shape)
     bound = 1.0 / math.sqrt(fan_in)
     return rng.uniform(-bound, bound, shape)
-
-
-def _fan_in_for_bias(config, layer_idx) -> int:
-    return layer_dims(config)[layer_idx]
 
 
 # -- forward -----------------------------------------------------------------
@@ -256,23 +256,11 @@ def _kan_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor, dt) -> Tensor:
     x = T.ew_binary("add", T.matmul(t2, Tensor(freq.astype(dt))),
                     Tensor(phase.astype(dt))).sin()
     grid = make_grid(cfg.grid_size, cfg.spline_order)
-    nb = grid.n_bases
     per_layer = 3 if cfg.scale_spline else 2
-    n_layers = len(plist) // per_layer
-    for i in range(n_layers):
-        chunk = plist[per_layer * i: per_layer * (i + 1)]
-        if cfg.scale_spline:
-            w_b, w_s, coeffs = chunk
-            eff = T.expand_last(w_s, nb) * coeffs
-        else:
-            w_b, coeffs = chunk
-            eff = coeffs
-        d_out, d_in = w_b.shape
-        base = T.matmul(x.silu(), T.transpose(w_b))
-        bases = spline_bases(x.clamp(grid.lo, grid.hi), grid)        # (n, d_in, nb)
-        flat_b = T.reshape(bases, (n, d_in * nb))
-        flat_e = T.reshape(eff, (d_out, d_in * nb))
-        x = base + T.matmul(flat_b, T.transpose(flat_e))
+    for i in range(0, len(plist), per_layer):
+        chunk = plist[i:i + per_layer]
+        w_s = chunk[1] if cfg.scale_spline else None
+        x = kan_layer(x, chunk[0], w_s, chunk[-1], grid)
     return T.reshape(x, (n,))
 
 

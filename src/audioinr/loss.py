@@ -53,18 +53,25 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
 
 
-_dft_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_dft_cache: dict[tuple[int, np.dtype], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def dft_matrices(fft_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, -sin) matrices of shape (fft_size, fft_size//2 + 1)."""
-    got = _dft_cache.get(fft_size)
+def dft_matrices(fft_size: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, -sin) matrices of shape (fft_size, fft_size//2 + 1).
+
+    Built in float64 and cast once per dtype; the cached arrays are
+    read-only because every caller shares them.
+    """
+    key = (fft_size, np.dtype(dtype))
+    got = _dft_cache.get(key)
     if got is None:
         k = np.arange(fft_size // 2 + 1)
         n = np.arange(fft_size)[:, None]
         ang = 2.0 * math.pi * n * k / fft_size
-        got = (np.cos(ang), -np.sin(ang))
-        _dft_cache[fft_size] = got
+        got = (np.cos(ang).astype(dtype, copy=False), (-np.sin(ang)).astype(dtype, copy=False))
+        for m in got:
+            m.setflags(write=False)
+        _dft_cache[key] = got
     return got
 
 
@@ -83,9 +90,9 @@ def stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
     wf = frames * win
     if res.window_size < res.fft_size:
         wf = T.pad_last(wf, res.fft_size)
-    c, s = dft_matrices(res.fft_size)
-    re = T.matmul(wf, Tensor(c.astype(dt, copy=False)))
-    im = T.matmul(wf, Tensor(s.astype(dt, copy=False)))
+    c, s = dft_matrices(res.fft_size, dt)
+    re = T.matmul(wf, Tensor(c))
+    im = T.matmul(wf, Tensor(s))
     return (re.square() + im.square()).sqrt()
 
 
@@ -109,11 +116,16 @@ _fb_cache: dict[tuple, MelFilterbank] = {}
 
 
 def make_mel_filterbank(n_mels: int, sample_rate: int, fft_size: int,
-                        f_min: float = 0.0, f_max: float | None = None) -> MelFilterbank:
-    """Triangles with n_mels peaks mel-spaced from f_min to f_max inclusive."""
+                        f_min: float = 0.0, f_max: float | None = None,
+                        dtype=np.float64) -> MelFilterbank:
+    """Triangles with n_mels peaks mel-spaced from f_min to f_max inclusive.
+
+    Built in float64 and cast once per dtype; the cached matrix is
+    read-only because every caller shares it.
+    """
     if f_max is None:
         f_max = sample_rate / 2.0
-    key = (n_mels, sample_rate, fft_size, f_min, f_max)
+    key = (n_mels, sample_rate, fft_size, f_min, f_max, np.dtype(dtype))
     got = _fb_cache.get(key)
     if got is not None:
         return got
@@ -129,6 +141,8 @@ def make_mel_filterbank(n_mels: int, sample_rate: int, fft_size: int,
         w[i] = np.clip(np.minimum(rise, fall), 0.0, 1.0)
     w[:, m < peaks[0]] = 0.0
     w[:, m > peaks[-1]] = 0.0
+    w = w.astype(dtype, copy=False)
+    w.setflags(write=False)
     fb = MelFilterbank(n_mels, sample_rate, fft_size, w)
     _fb_cache[key] = fb
     return fb
@@ -144,7 +158,7 @@ def mel_project(mag: Tensor, fb: MelFilterbank) -> Tensor:
 
 
 def _mel_mag(signal: Tensor, res: StftResolution, sample_rate: int, n_mels: int) -> Tensor:
-    fb = make_mel_filterbank(n_mels, sample_rate, res.fft_size)
+    fb = make_mel_filterbank(n_mels, sample_rate, res.fft_size, dtype=signal.data.dtype)
     return mel_project(stft_mag(signal, res), fb)
 
 

@@ -69,7 +69,8 @@ class Tensor:
 
     ``data`` is a numpy array and is never mutated by operations; the
     optimizer mutates leaf data in place between steps, after the step's
-    graph has been consumed.
+    graph has been consumed.  Float arrays are kept as given; anything
+    else (lists, integer or bool arrays) becomes the default dtype.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_id")
@@ -78,8 +79,9 @@ class Tensor:
                  _parents: tuple = (), _backward: Callable | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE) if not isinstance(data, np.ndarray) \
-            else data
+        if not (isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.floating)):
+            data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -232,10 +234,6 @@ def transpose(a: Tensor) -> Tensor:
         _accum(a, g.T)
 
     return _node(a.data.T, (a,), bwd)
-
-
-_UNARY_TAGS = ("sin", "cos", "exp", "log", "abs", "square", "sqrt", "relu",
-               "silu", "negate", "scale", "shift", "clamp")
 
 
 def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:

@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
+from audioinr import bspline
 from audioinr.bspline import (
     SplineGrid,
     basis,
     basis_grad,
+    kan_layer,
     make_grid,
     spline_bases,
     spline_eval,
 )
-from audioinr.tensor import ContractError, Tensor, backward
+from audioinr.tensor import (
+    ContractError,
+    ShapeError,
+    Tensor,
+    backward,
+    expand_last,
+    matmul,
+    reshape,
+    transpose,
+)
 
 
 def naive_bases(grid: SplineGrid, x: np.ndarray) -> np.ndarray:
@@ -160,3 +171,100 @@ def test_tape_op_constant_input(rng):
     t = Tensor(rng.uniform(-1.0, 1.0, 10))
     out = spline_bases(t, g)
     assert not out.requires_grad
+
+
+# -- fused KAN layer -----------------------------------------------------------
+
+
+def unfused_kan_layer(x, w_b, w_s, coeffs, grid):
+    """The per-layer graph kan_layer replaces, built from separate tape ops."""
+    n, d_in = x.shape
+    d_out, nb = w_b.shape[0], grid.n_bases
+    eff = coeffs if w_s is None else expand_last(w_s, nb) * coeffs
+    base = matmul(x.silu(), transpose(w_b))
+    bases = spline_bases(x.clamp(grid.lo, grid.hi), grid)
+    flat_b = reshape(bases, (n, d_in * nb))
+    flat_e = reshape(eff, (d_out, d_in * nb))
+    return base + matmul(flat_b, transpose(flat_e))
+
+
+KAN_D_IN, KAN_D_OUT, KAN_GRID = 4, 3, 5
+
+
+def kan_case(rng, n, order, scale_spline, dtype=np.float64):
+    """Leaves (x, w_b, w_s, coeffs), the grid and an upstream weight, with
+    inputs beyond [-1, 1] and exactly at both ends."""
+    grid = make_grid(KAN_GRID, order)
+    x = rng.uniform(-1.3, 1.3, (n, KAN_D_IN))
+    x.reshape(-1)[::7] = 1.0
+    x.reshape(-1)[3::11] = -1.0
+    shapes = [(KAN_D_OUT, KAN_D_IN)] * 2 + [(KAN_D_OUT, KAN_D_IN, grid.n_bases)]
+    w_b, w_s, coeffs = (rng.standard_normal(s) for s in shapes)
+    leaves = [Tensor(a.astype(dtype), requires_grad=True)
+              for a in (x, w_b, w_s, coeffs)]
+    if not scale_spline:
+        leaves[2] = None
+    upstream = rng.standard_normal((n, KAN_D_OUT)).astype(dtype)
+    return leaves, grid, upstream
+
+
+def out_and_grads(op, leaves, grid, upstream):
+    out = op(*leaves, grid)
+    backward((out * Tensor(upstream)).sum())
+    return out.data, [t.grad for t in leaves if t is not None]
+
+
+def kan_rows(order):
+    return max(1, bspline.BUDGET // (KAN_D_IN * (KAN_GRID + order)))
+
+
+def assert_rel_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+@pytest.mark.parametrize("scale_spline", [True, False])
+@pytest.mark.parametrize("blocks", ["partial", "exact", "ragged"])
+def test_kan_layer_matches_unfused_graph(order, scale_spline, blocks, rng):
+    rows = kan_rows(order)
+    n = {"partial": rows // 3, "exact": 2 * rows, "ragged": 2 * rows + 37}[blocks]
+    leaves, grid, up = kan_case(rng, n, order, scale_spline)
+    got, got_grads = out_and_grads(kan_layer, leaves, grid, up)
+    want, want_grads = out_and_grads(unfused_kan_layer, leaves, grid, up)
+    assert_rel_close(got, want, 1e-12)
+    assert len(got_grads) == len(want_grads)
+    for g, w in zip(got_grads, want_grads):
+        assert_rel_close(g, w, 1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+@pytest.mark.parametrize("scale_spline", [True, False])
+def test_kan_layer_float32_gradients(order, scale_spline, rng):
+    n = kan_rows(order) + 37
+    leaves32, grid, up = kan_case(rng, n, order, scale_spline, np.float32)
+    leaves64 = [None if t is None else Tensor(t.data.astype(np.float64), requires_grad=True)
+                for t in leaves32]
+    out32, grads32 = out_and_grads(kan_layer, leaves32, grid, up)
+    out64, grads64 = out_and_grads(kan_layer, leaves64, grid, up.astype(np.float64))
+    assert out32.dtype == np.float32
+    assert_rel_close(out32.astype(np.float64), out64, 1e-5)
+    for g32, g64 in zip(grads32, grads64):
+        assert g32.dtype == np.float32
+        assert_rel_close(g32.astype(np.float64), g64, 1e-5)
+
+
+def test_kan_layer_constant_inputs_build_no_graph(rng):
+    leaves, grid, _ = kan_case(rng, 10, 2, True)
+    out = kan_layer(*(Tensor(t.data) for t in leaves), grid)
+    assert not out.requires_grad
+
+
+def test_kan_layer_shape_checks(rng):
+    (x, w_b, w_s, coeffs), grid, _ = kan_case(rng, 10, 2, True)
+    with pytest.raises(ShapeError):
+        kan_layer(reshape(x, (40,)), w_b, w_s, coeffs, grid)
+    with pytest.raises(ShapeError):
+        kan_layer(x, w_b, w_s, coeffs, make_grid(KAN_GRID + 1, 2))
+    with pytest.raises(ShapeError):
+        kan_layer(x, w_b, transpose(w_s), coeffs, grid)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from audioinr import inr
 from audioinr.inr import (
     ARCHS,
     InrConfig,
@@ -19,13 +20,16 @@ from audioinr.inr import (
     positional_encoding,
     unflatten_params,
 )
+from audioinr.loss import make_combined_loss
 from audioinr.tensor import (
     ContractError,
     ShapeError,
     Tensor,
+    _reachable,
     backward,
     grad_check,
 )
+from test_bspline import unfused_kan_layer
 
 SMALL = dict(hidden=(6, 5), encoding_length=3, rff_features=4,
              grid_size=4, spline_order=2, seed=7)
@@ -312,3 +316,59 @@ def test_forward_gradcheck(arch, rng):
     h = 1e-5 if arch == "wire" else 1e-6
     err = grad_check(f, model.params, n_samples=25, seed=3, h=h)
     assert err < 1e-4, f"{arch}: worst relative gradient error {err:.3g}"
+
+
+def test_kan_fused_layers_match_unfused_graph(monkeypatch, rng):
+    model = build(InrConfig("kan"))
+    n = 4096
+    times = np.linspace(-1.0, 1.0, n)
+    loss_fn = make_combined_loss(0.3 * rng.standard_normal(n))
+
+    def loss_and_grads():
+        loss = loss_fn(model.forward(times))
+        grads = backward(loss, leaves=model.params)
+        return loss.item(), [grads[id(p)].copy() for p in model.params]
+
+    got_loss, got_grads = loss_and_grads()
+    monkeypatch.setattr(inr, "kan_layer", unfused_kan_layer)
+    want_loss, want_grads = loss_and_grads()
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(got_grads, want_grads):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+# -- graph memory --------------------------------------------------------------
+
+
+def _held_arrays(obj, seen):
+    """Arrays reachable from a backward closure: its cells, and the lists,
+    tuples and nested closures they hold."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        for cell in obj.__closure__:
+            yield from _held_arrays(cell.cell_contents, seen)
+
+
+def test_kan_graph_holds_no_dense_basis_tensor():
+    cfg = InrConfig("kan")
+    model = build(cfg)
+    n = 8192
+    out = model.forward(np.linspace(-1.0, 1.0, n))
+    nodes = _reachable(out)
+    params = {id(p) for p in model.params}
+    layer_nodes = [t for t in nodes if any(id(p) in params for p in t._parents)]
+    assert len(layer_nodes) == len(cfg.hidden) + 1
+    seen = set()
+    held = [t.data for t in nodes]
+    for t in nodes:
+        held.extend(_held_arrays(t._backward, seen))
+    nb = cfg.grid_size + cfg.spline_order
+    dense = n * min(layer_dims(cfg)[:-1]) * nb
+    assert max(a.size for a in held) < dense

@@ -26,6 +26,7 @@ from audioinr.tensor import (
     ShapeError,
     Tensor,
     backward,
+    default_dtype,
     grad_check,
 )
 
@@ -69,6 +70,27 @@ def test_dft_matrices_against_naive_loop(rng):
 
 def test_dft_matrices_cached():
     assert dft_matrices(64)[0] is dft_matrices(64)[0]
+
+
+def test_loss_constants_cached_per_dtype(rng):
+    target = rng.standard_normal(2048)
+    pred = rng.standard_normal(2048)
+    first = {}
+    for _ in range(3):
+        for dt in (np.float32, np.float64):
+            with default_dtype(dt):
+                got = make_combined_loss(target, n_mels=16)(Tensor(pred.astype(dt))).data
+            assert got.dtype == dt
+            assert got.tobytes() == first.setdefault(dt, got).tobytes()
+    for dt in (np.float32, np.float64):
+        consts = [*dft_matrices(512, dt), make_mel_filterbank(16, 22050, 512, dtype=dt).matrix]
+        refs = [*dft_matrices(512), make_mel_filterbank(16, 22050, 512).matrix]
+        for c, ref in zip(consts, refs):
+            assert c.dtype == dt
+            np.testing.assert_array_equal(c, ref.astype(dt))
+            with pytest.raises(ValueError):
+                c[0, 0] = 0.5
+        assert dft_matrices(512, dt)[0] is consts[0]
 
 
 # -- stft ----------------------------------------------------------------------

@@ -37,6 +37,16 @@ def test_default_dtype_context():
     assert T.get_default_dtype() == np.float64
 
 
+def test_non_float_arrays_take_default_dtype():
+    assert Tensor(np.arange(3)).data.dtype == np.float64
+    assert Tensor(np.array([True, False])).data.dtype == np.float64
+    with T.default_dtype("float32"):
+        assert Tensor(np.arange(3)).data.dtype == np.float32
+        f64 = np.ones(2)
+        assert Tensor(f64).data is f64
+    np.testing.assert_array_equal(Tensor(np.arange(3)).data, [0.0, 1.0, 2.0])
+
+
 def test_tensor_repr_and_item():
     t = Tensor(np.array(2.5), name="x")
     assert "x" in repr(t)
