@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fewsound, inr, metrics, trainer
 from .inr import ARCHS, InrConfig
-from .serialize import SerializationError, load_model, save_model
+from .serialize import SerializationError, atomic_write_bytes, load_model, save_model
 from .tensor import ContractError, DomainError, ShapeError
 from .loss import StftResolution
 from .wavio import AudioClip, WavError, prepare_dataset, resample, wav_read, wav_write
@@ -121,8 +121,7 @@ def _cmd_fit(args) -> int:
         lr = trainer.resolve_lr(_train_config(args), args.arch)
         lines = ["step,loss,lr"]
         lines += [f"{i},{v:.12g},{lr:.12g}" for i, v in enumerate(result.loss_trace)]
-        with open(args.trace, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        atomic_write_bytes(args.trace, ("\n".join(lines) + "\n").encode())
     if args.report is not None:
         report = metrics.MetricsReport()
         vals = {m: result.metrics.get(m, float("nan")) for m in metrics.METRIC_COLUMNS}

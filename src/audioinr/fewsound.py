@@ -148,7 +148,8 @@ def build_state(config: FewSoundConfig) -> FewSoundState:
                 fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else _bias_fan(name, shapes)
                 bound = math.sqrt(6.0 / fan_in) if len(shape) > 1 else 1.0 / math.sqrt(fan_in)
                 data = rng.uniform(-bound, bound, shape)
-            out.append((name, Tensor(data.astype(dt), requires_grad=True, name=name)))
+            out.append((name, Tensor(data.astype(dt, copy=False), requires_grad=True,
+                                     name=name)))
         return out
 
     encoder = draw(_encoder_plan(config))
@@ -156,7 +157,7 @@ def build_state(config: FewSoundConfig) -> FewSoundState:
     hyper = draw(_hyper_plan(config, p_count), zero_last_layer=True)
 
     universal = inr.build(config.target)
-    theta = Tensor(inr.flatten_params(universal).astype(dt),
+    theta = Tensor(inr.flatten_params(universal).astype(dt, copy=False),
                    requires_grad=True, name="theta")
     return FewSoundState(config, encoder, weight_enc, hyper, theta, universal.embedding)
 
@@ -212,7 +213,7 @@ def encode_audio(state: FewSoundState, window) -> Tensor:
         h = (down + r).relu()
     h = T.conv1d(h, p["enc.final.w"], p["enc.final.b"], stride=1, padding=1)
     pooled = T.reshape(h.mean(axis=1), (1, h.shape[0]))
-    out = T.ew_binary("add", T.matmul(pooled, T.transpose(p["enc.out.w"])), p["enc.out.b"])
+    out = T.linear(pooled, p["enc.out.w"], p["enc.out.b"])
     return T.reshape(out, (cfg.embed_dim,))
 
 
@@ -221,8 +222,8 @@ def encode_weights(state: FewSoundState) -> Tensor:
     cfg = state.config
     p = dict(state.weight_enc)
     h = T.reshape(state.theta, (1, state.theta.size))
-    h = T.ew_binary("add", T.matmul(h, T.transpose(p["wenc.l0.w"])), p["wenc.l0.b"]).relu()
-    h = T.ew_binary("add", T.matmul(h, T.transpose(p["wenc.l1.w"])), p["wenc.l1.b"])
+    h = T.linear(h, p["wenc.l0.w"], p["wenc.l0.b"]).relu()
+    h = T.linear(h, p["wenc.l1.w"], p["wenc.l1.b"])
     return T.reshape(h, (cfg.embed_dim,))
 
 
@@ -236,8 +237,7 @@ def predict_update(state: FewSoundState, e_s: Tensor, e_theta: Tensor) -> Tensor
     n_layers = len(state.hyper) // 2
     p = dict(state.hyper)
     for i in range(n_layers):
-        h = T.ew_binary("add", T.matmul(h, T.transpose(p[f"hyper.l{i}.w"])),
-                        p[f"hyper.l{i}.b"])
+        h = T.linear(h, p[f"hyper.l{i}.w"], p[f"hyper.l{i}.b"])
         if i < n_layers - 1:
             h = h.relu()
     return T.reshape(h, (h.shape[1],))
@@ -266,8 +266,9 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
     """Joint training of all four groups; returns (state, per-epoch mean loss).
 
     Each clip contributes its first ``window`` samples.  Every batch
-    adapts each clip, renders the window's [-1,1] time grid, and sums
-    the combined losses; AdamW steps under a one-cycle schedule.
+    computes E_theta once, adapts each clip with it, renders the
+    window's [-1,1] time grid, and sums the combined losses; AdamW steps
+    under a one-cycle schedule.
     """
     windows = []
     for i, c in enumerate(clips):
@@ -298,8 +299,10 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
         epoch_sum = 0.0
         for batch in batches:
             total = None
+            e_t = encode_weights(state)
             for ci in batch:
-                flat = adapted_flat(state, windows[ci])
+                e_s = encode_audio(state, windows[ci])
+                flat = state.theta + predict_update(state, e_s, e_t)
                 pred = inr.forward_from_flat(config.target, flat, times,
                                              state.target_embedding)
                 term = loss_fns[ci](pred)

@@ -143,7 +143,7 @@ def build(config: InrConfig, seed: int | None = None) -> InrModel:
         prefix = name.split(".")[0]
         layer_idx = int(prefix[3:]) if prefix.startswith("kan") else int(prefix[5:])
         data = _init_param(config, name, shape, layer_idx, n_layers, rng)
-        params.append(Tensor(data.astype(dt), requires_grad=True, name=name))
+        params.append(Tensor(data.astype(dt, copy=False), requires_grad=True, name=name))
     return InrModel(config, params, embedding)
 
 
@@ -202,10 +202,6 @@ def _rff_consts(b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return freq, phase
 
 
-def _dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.ew_binary("add", T.matmul(x, T.transpose(w)), b)
-
-
 def forward(model: InrModel, times) -> Tensor:
     """Amplitudes at the given times; times are clamped to [-1,1] first."""
     cfg = model.config
@@ -238,7 +234,7 @@ def _forward_with(cfg: InrConfig, plist: list[Tensor], t: Tensor, embedding: dic
 
     pairs = [(plist[2 * i], plist[2 * i + 1]) for i in range(len(plist) // 2)]
     for i, (w, b) in enumerate(pairs):
-        x = _dense(x, w, b)
+        x = T.linear(x, w, b)
         if i == len(pairs) - 1:
             break
         if cfg.arch in ("nerf", "rff"):
@@ -270,8 +266,8 @@ def _wire_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor) -> Tensor:
     pairs = [(plist[2 * i], plist[2 * i + 1]) for i in range(len(plist) // 2)]
     re, im = t2, None
     for w, b in pairs[:-1]:
-        z_re = _dense(re, w, b)
-        z_im = T.matmul(im, T.transpose(w)) if im is not None else None
+        z_re = T.linear(re, w, b)
+        z_im = T.linear(im, w) if im is not None else None
         # exp(i om z) exp(-s0^2 |z|^2): combine both exponents before exp so the
         # magnitude stays bounded by e^(om^2 / (4 s0^2))
         if z_im is None:
@@ -282,7 +278,7 @@ def _wire_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor) -> Tensor:
         ang = z_re.scale(om)
         re, im = mag * ang.cos(), mag * ang.sin()
     w, b = pairs[-1]
-    return T.reshape(_dense(re, w, b), (n,))
+    return T.reshape(T.linear(re, w, b), (n,))
 
 
 # -- flat-vector plumbing ------------------------------------------------------

@@ -5,6 +5,10 @@ separate from the bias-corrected moment update, so decay strength does
 not depend on gradient magnitudes.  The schedule ramps with a cosine
 from max_lr/div_factor up to max_lr over the warmup fraction of steps,
 then anneals with a cosine down to max_lr/final_div_factor.
+
+AdamW owns and mutates its parameters' arrays: each ``p.data`` is
+replaced by a private copy, which step() updates in place, block by
+block, so no full-size temporary is allocated.
 """
 
 from __future__ import annotations
@@ -17,8 +21,19 @@ import numpy as np
 from .tensor import Tensor, ContractError, ShapeError
 
 
+# entries per block of one in-place AdamW pass; the block's slices of p,
+# g, m, v and the two scratch buffers stay in cache between ufunc calls
+_BLOCK = 2 ** 14
+
+
 class AdamW:
-    """Holds per-parameter moments; step() consumes .grad buffers."""
+    """Holds per-parameter moments; step() consumes .grad buffers.
+
+    The optimizer owns its parameters' arrays: construction replaces each
+    ``p.data`` with a private copy, and step() updates that copy in
+    place, so an array a caller handed in is never written.  An array
+    assigned to ``p.data`` later is copied the same way at the next step.
+    """
 
     def __init__(self, named_params, lr: float, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
@@ -31,32 +46,71 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
+        self._owned = [self._own(p) for _, p in self.named_params]
         self.m = [np.zeros_like(p.data) for _, p in self.named_params]
         self.v = [np.zeros_like(p.data) for _, p in self.named_params]
 
+    @staticmethod
+    def _own(p: Tensor) -> np.ndarray:
+        p.data = np.array(p.data, order="C")
+        return p.data
+
     def step(self, lr: float | None = None) -> None:
-        """One update; params with no gradient buffer are treated as zero-grad."""
+        """One update; params with no gradient buffer are treated as zero-grad.
+
+        Every gradient is checked before any parameter is written, so a
+        step that raises leaves parameters and moments as they were.
+        """
         lr = self.lr if lr is None else lr
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for i, (name, p) in enumerate(self.named_params):
+        grads = []
+        for name, p in self.named_params:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter "
                                  f"shape {p.data.shape} for {name!r}")
-            if not np.all(np.isfinite(g)):
+            # a finite sum implies finite entries; only a non-finite sum
+            # (or an overflowing one) needs the entrywise test
+            with np.errstate(over="ignore"):
+                finite_sum = np.isfinite(np.sum(g))
+            if not finite_sum and not np.all(np.isfinite(g)):
                 raise ContractError(f"non-finite gradient in parameter {name!r}")
-            m = self.m[i]
-            v = self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data = p.data - lr * self.weight_decay * p.data - lr * update
+            grads.append(np.ascontiguousarray(g, dtype=p.data.dtype).reshape(-1))
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        b1, b2, eps, decay = self.beta1, self.beta2, self.eps, lr * self.weight_decay
+        for i, ((_, p), g) in enumerate(zip(self.named_params, grads)):
+            if p.data is not self._owned[i]:
+                self._owned[i] = self._own(p)
+            flat, m, v = p.data.reshape(-1), self.m[i].reshape(-1), self.v[i].reshape(-1)
+            n = flat.size
+            s1 = np.empty(min(n, _BLOCK), dtype=flat.dtype)
+            s2 = np.empty_like(s1)
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                pb, gb, mb, vb = flat[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = s1[:hi - lo], s2[:hi - lo]
+                # evaluation order of the whole-array form, so results match it
+                # bitwise: m = b1 m + (1-b1) g; v = b2 v + ((1-b2) g) g;
+                # u = (m/bc1) / (sqrt(v/bc2) + eps); p = (p - (lr wd) p) - lr u
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(gb, 1.0 - b2, out=a)
+                a *= gb
+                vb += a
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                np.divide(mb, bc1, out=a)
+                a /= b
+                np.multiply(pb, decay, out=b)
+                pb -= b
+                a *= lr
+                pb -= a
 
 
 def adamw_step(opt: AdamW, lr: float | None = None) -> None:

@@ -17,11 +17,14 @@ Network config block:
     scale_spline u8, seed i64
 
 Meta-trainer config block:
-    window u32, embed_dim u32, conv0_channels u32, n_blocks u8, block
-    channels u32 each, weight_enc_hidden u32, n_hyper u8, hyper widths
-    u32 each, lam_t f64, lam_f f64, epochs u32, lr f64, seed i64,
-    batch_size u64 (0 = whole dataset), then the target network's
-    config block.
+    window u32, sample_rate u32, embed_dim u32, conv0_channels u32,
+    n_blocks u8, block channels u32 each, weight_enc_hidden u32, n_hyper
+    u8, hyper widths u32 each, lam_t f64, lam_f f64, epochs u32, lr f64,
+    seed i64, batch_size u64 (0 = whole dataset), then the target
+    network's config block.
+
+A block whose values the config type rejects (say grid_size 0) raises
+SerializationError, like any other malformed file.
 
 Frozen state (e.g. the random-feature projection) is reproduced from the
 stored seed rather than serialized.  Writes go to a temp file in the
@@ -40,6 +43,7 @@ import numpy as np
 
 from . import inr
 from .inr import InrConfig, InrModel
+from .tensor import ContractError
 
 
 class SerializationError(ValueError):
@@ -68,11 +72,13 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    """Cursor over a memoryview; take() returns views, never copies."""
+
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.off = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.buf):
             raise SerializationError(
                 f"file truncated at offset {self.off}: needed {n} more bytes, "
@@ -97,16 +103,20 @@ def pack_inr_config(cfg: InrConfig) -> bytes:
 
 
 def unpack_inr_config(r: _Reader) -> InrConfig:
+    start = r.off
     arch_ix, n_hidden = r.unpack("BB")
     if arch_ix >= len(inr.ARCHS):
         raise SerializationError(f"unknown arch byte {arch_ix} at offset {r.off - 2}")
     hidden = r.unpack(f"{n_hidden}I")
     (enc_len, rff_m, rff_sigma, omega0, s0, kb,
      grid, order, scale, seed) = r.unpack("II4dIIBq")
-    return InrConfig(inr.ARCHS[arch_ix], hidden=hidden, encoding_length=enc_len,
-                     rff_features=rff_m, rff_sigma=rff_sigma, omega0=omega0, s0=s0,
-                     finer_bias_bound=kb, grid_size=grid, spline_order=order,
-                     scale_spline=bool(scale), seed=seed)
+    try:
+        return InrConfig(inr.ARCHS[arch_ix], hidden=hidden, encoding_length=enc_len,
+                         rff_features=rff_m, rff_sigma=rff_sigma, omega0=omega0, s0=s0,
+                         finer_bias_bound=kb, grid_size=grid, spline_order=order,
+                         scale_spline=bool(scale), seed=seed)
+    except ContractError as e:
+        raise SerializationError(f"invalid network config at offset {start}: {e}") from e
 
 
 def _pack_fewsound_config(cfg) -> bytes:
@@ -123,18 +133,23 @@ def _pack_fewsound_config(cfg) -> bytes:
 
 def _unpack_fewsound_config(r: _Reader):
     from .fewsound import FewSoundConfig
+    start = r.off
     window, sample_rate, embed_dim, conv0, n_blocks = r.unpack("IIIIB")
     channels = r.unpack(f"{n_blocks}I")
     weight_enc_hidden, n_hyper = r.unpack("IB")
     hyper = r.unpack(f"{n_hyper}I")
     lam_t, lam_f, epochs, lr, seed, batch = r.unpack("ddIdqQ")
     target = unpack_inr_config(r)
-    return FewSoundConfig(target=target, window=window, sample_rate=sample_rate,
-                          embed_dim=embed_dim, conv0_channels=conv0,
-                          encoder_channels=channels,
-                          weight_enc_hidden=weight_enc_hidden, hyper_hidden=hyper,
-                          lam_t=lam_t, lam_f=lam_f, epochs=epochs, lr=lr, seed=seed,
-                          batch_size=batch or None)
+    try:
+        return FewSoundConfig(target=target, window=window, sample_rate=sample_rate,
+                              embed_dim=embed_dim, conv0_channels=conv0,
+                              encoder_channels=channels,
+                              weight_enc_hidden=weight_enc_hidden, hyper_hidden=hyper,
+                              lam_t=lam_t, lam_f=lam_f, epochs=epochs, lr=lr, seed=seed,
+                              batch_size=batch or None)
+    except ContractError as e:
+        raise SerializationError(
+            f"invalid meta-trainer config at offset {start}: {e}") from e
 
 
 def _payload(vec: np.ndarray) -> bytes:
@@ -163,7 +178,7 @@ def load_model(path):
         blob = f.read()
     if len(blob) < len(MAGIC) + 2 + 4:
         raise SerializationError(f"file too short ({len(blob)} bytes) to be a model file")
-    body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
+    body, (crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
     actual = zlib.crc32(body)
     if actual != crc:
         raise SerializationError(f"CRC mismatch: stored {crc:#010x}, computed {actual:#010x}")

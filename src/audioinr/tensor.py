@@ -67,10 +67,12 @@ def default_dtype(dtype):
 class Tensor:
     """N-d value array, optionally tracking gradients through a tape.
 
-    ``data`` is a numpy array and is never mutated by operations; the
-    optimizer mutates leaf data in place between steps, after the step's
-    graph has been consumed.  Float arrays are kept as given; anything
-    else (lists, integer or bool arrays) becomes the default dtype.
+    ``data`` is a numpy array and is never mutated by operations.  AdamW
+    owns the arrays of the parameters it steps: it replaces each leaf's
+    ``data`` with a private copy and mutates that copy in place between
+    steps, after the step's graph has been consumed.  Float arrays are
+    kept as given; anything else (lists, integer or bool arrays) becomes
+    the default dtype.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_id")
@@ -207,6 +209,16 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
+    """Like _accum for a ``g`` no one else holds: the first write keeps it
+    as the gradient buffer (cast to t's dtype), later writes add in place."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = g.astype(t.data.dtype, copy=False)
+        else:
+            t.grad += g
+
+
 # -- elementwise and linear-algebra operations ----------------------------
 
 
@@ -234,6 +246,35 @@ def transpose(a: Tensor) -> Tensor:
         _accum(a, g.T)
 
     return _node(a.data.T, (a,), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer x @ Wᵀ + b as one node: x (n, d_in), W (d_out, d_in), b (d_out,).
+
+    Backward writes dW = gᵀ.x, dx = g.W and db = g summed over rows.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear shapes x{x.shape} and W{w.shape} do not chain")
+    out = x.data @ w.data.T
+    if b is not None:
+        b = _as_tensor(b)
+        if b.shape != (w.shape[0],):
+            raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[0]},)")
+        if np.can_cast(b.data.dtype, out.dtype):
+            out += b.data
+        else:
+            out = out + b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accum_fresh(x, g @ w.data)
+        if w.requires_grad:
+            _accum_fresh(w, g.T @ x.data)
+        if b is not None and b.requires_grad:
+            _accum_fresh(b, g.sum(axis=0))
+
+    return _node(out, (x, w) if b is None else (x, w, b), bwd)
 
 
 def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:

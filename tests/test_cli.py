@@ -1,8 +1,11 @@
 """End-to-end command-line runs against temp files."""
 
+import glob
+
 import numpy as np
 import pytest
 
+from audioinr import cli
 from audioinr.cli import main
 from audioinr.inr import InrConfig, param_count
 from audioinr.toydata import sine_mixture, toy_clips
@@ -82,6 +85,30 @@ def test_fit_writes_trace_and_report(tmp_path, clip_path, capsys):
     rep = report.read_text().strip().split("\n")
     assert rep[0].startswith("clip_id,arch,params,")
     assert rep[1].startswith("clip.wav,siren,")
+
+
+def test_fit_trace_is_written_atomically(tmp_path, clip_path, capsys, monkeypatch):
+    written = {}
+    real = cli.atomic_write_bytes
+
+    def record(path, data):
+        written[str(path)] = data
+        real(path, data)
+
+    monkeypatch.setattr(cli, "atomic_write_bytes", record)
+    trace = tmp_path / "trace.csv"
+    rc = main(["fit", clip_path, "--out", str(tmp_path / "m.bin"),
+               "--trace", str(trace)] + FIT_FAST)
+    assert rc == 0
+    capsys.readouterr()
+    data = trace.read_bytes()
+    assert written[str(trace)] == data
+    lr = "0.0001"                                   # the siren default
+    rows = data.decode().split("\n")
+    assert rows[0] == "step,loss,lr" and rows[-1] == ""
+    assert [r.split(",")[0] for r in rows[1:-1]] == ["0", "1", "2"]
+    assert all(r.endswith("," + lr) for r in rows[1:-1])
+    assert glob.glob(str(tmp_path / ".tmp-*")) == []
 
 
 def test_fit_is_reproducible_bytewise(tmp_path, clip_path, capsys):

@@ -21,11 +21,12 @@ from audioinr.fewsound import (
     state_unflatten,
     window_plan,
 )
-from audioinr.inr import InrConfig, build, flatten_params, param_count
-from audioinr.loss import StftResolution
-from audioinr.optim import AdamW
+from audioinr.inr import InrConfig, build, flatten_params, forward_from_flat, param_count
+from audioinr.loss import StftResolution, make_combined_loss
+from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError
 from audioinr.toydata import sine_mixture
+from test_tensor import unfused_linear
 
 FAST = (StftResolution(32, 8, 32),)
 
@@ -215,6 +216,73 @@ def test_meta_train_uses_first_window():
     _, t_long = meta_train([long], cfg, resolutions=FAST, n_mels=4)
     _, t_base = meta_train([base], cfg, resolutions=FAST, n_mels=4)
     np.testing.assert_array_equal(t_long, t_base)
+
+
+def per_clip_meta_train(clips, cfg, resolutions, n_mels, weight_decay=0.01):
+    """Oracle for meta_train: the same loop, with E_theta recomputed for
+    every clip through adapted_flat."""
+    windows = [np.asarray(c, dtype=np.float64)[:cfg.window] for c in clips]
+    state = build_state(cfg)
+    times = np.linspace(-1.0, 1.0, cfg.window)
+    loss_fns = [make_combined_loss(w, cfg.lam_t, cfg.lam_f, resolutions,
+                                   cfg.sample_rate, n_mels) for w in windows]
+    bs = cfg.batch_size or len(windows)
+    batches = [range(i, min(i + bs, len(windows))) for i in range(0, len(windows), bs)]
+    opt = AdamW(state.named_params(), lr=cfg.lr, weight_decay=weight_decay)
+    sched = OneCycleSchedule(max_lr=cfg.lr, total_steps=cfg.epochs * len(batches))
+    leaves = [p for _, p in state.named_params()]
+    trace = np.zeros(cfg.epochs)
+    step = 0
+    for epoch in range(cfg.epochs):
+        for batch in batches:
+            terms = [loss_fns[ci](forward_from_flat(
+                cfg.target, adapted_flat(state, windows[ci]), times,
+                state.target_embedding)) for ci in batch]
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            T.backward(total, leaves=leaves)
+            opt.step(lr=one_cycle_lr(sched, step))
+            step += 1
+            trace[epoch] += float(total.data)
+        trace[epoch] /= len(windows)
+    return state, trace
+
+
+def test_meta_train_matches_per_clip_weight_encoding():
+    # three clips in batches of two: one batch shares E_theta between two clips
+    cfg = tiny_config(lam_f=1.0, batch_size=2)
+    clips = _toy_windows(3, cfg.window)
+    state, trace = meta_train(clips, cfg, resolutions=FAST, n_mels=4)
+    want_state, want_trace = per_clip_meta_train(clips, cfg, FAST, 4)
+    np.testing.assert_allclose(trace, want_trace, rtol=1e-10, atol=0.0)
+    got, want = state_flatten(state), state_flatten(want_state)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    assert not np.array_equal(want, state_flatten(build_state(cfg)))
+
+
+def test_adapted_loss_matches_unfused_dense_graph(monkeypatch, rng):
+    cfg = tiny_config()
+    state = build_state(cfg)
+    for _, p in state.hyper[-2:]:       # a non-zero output layer lets every group learn
+        p.data = 0.1 * rng.standard_normal(p.shape)
+    window = sine_mixture(cfg.window)
+    leaves = [p for _, p in state.named_params()]
+
+    def loss_and_grads():
+        pred = forward_from_flat(cfg.target, adapted_flat(state, window),
+                                 np.linspace(-1, 1, cfg.window), state.target_embedding)
+        loss = (pred - T.Tensor(window)).square().mean()
+        grads = T.backward(loss, leaves=leaves)
+        return loss.item(), [grads[id(p)].copy() for p in leaves]
+
+    got_loss, got_grads = loss_and_grads()
+    monkeypatch.setattr(T, "linear", unfused_linear)
+    want_loss, want_grads = loss_and_grads()
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(got_grads, want_grads):
+        assert np.any(want != 0.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # -- overlap-add reconstruction --------------------------------------------------------

@@ -20,6 +20,7 @@ from audioinr.inr import (
     positional_encoding,
     unflatten_params,
 )
+from audioinr import tensor as T
 from audioinr.loss import make_combined_loss
 from audioinr.tensor import (
     ContractError,
@@ -30,6 +31,7 @@ from audioinr.tensor import (
     grad_check,
 )
 from test_bspline import unfused_kan_layer
+from test_tensor import unfused_linear
 
 SMALL = dict(hidden=(6, 5), encoding_length=3, rff_features=4,
              grid_size=4, spline_order=2, seed=7)
@@ -337,6 +339,26 @@ def test_kan_fused_layers_match_unfused_graph(monkeypatch, rng):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+def test_fused_dense_layers_match_unfused_graph(arch, monkeypatch, rng):
+    model = build(InrConfig(arch))
+    n = 2048
+    times = np.linspace(-1.0, 1.0, n)
+    loss_fn = make_combined_loss(0.3 * rng.standard_normal(n))
+
+    def loss_and_grads():
+        loss = loss_fn(model.forward(times))
+        grads = backward(loss, leaves=model.params)
+        return loss.item(), [grads[id(p)].copy() for p in model.params]
+
+    got_loss, got_grads = loss_and_grads()
+    monkeypatch.setattr(T, "linear", unfused_linear)
+    want_loss, want_grads = loss_and_grads()
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(got_grads, want_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # -- graph memory --------------------------------------------------------------
 
 
@@ -372,3 +394,12 @@ def test_kan_graph_holds_no_dense_basis_tensor():
     nb = cfg.grid_size + cfg.spline_order
     dense = n * min(layer_dims(cfg)[:-1]) * nb
     assert max(a.size for a in held) < dense
+
+
+def test_siren_graph_holds_one_node_per_dense_layer():
+    cfg = InrConfig("siren")
+    model = build(cfg)
+    nodes = _reachable(model.forward(np.linspace(-1.0, 1.0, 256)))
+    params = {id(p) for p in model.params}
+    layer_nodes = [t for t in nodes if any(id(p) in params for p in t._parents)]
+    assert len(layer_nodes) == len(cfg.hidden) + 1

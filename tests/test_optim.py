@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from audioinr import optim
 from audioinr.optim import AdamW, OneCycleSchedule, adamw_step, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError, Tensor
 
@@ -47,6 +48,78 @@ def test_trajectory_matches_reference(rng):
         p.grad = g
         opt.step()
     np.testing.assert_allclose(p.data, reference_adamw(p0, grads, 0.05), atol=1e-14)
+
+
+def whole_array_adamw(p, m, v, g, t, lr, betas=(0.9, 0.999), eps=1e-8, wd=0.01):
+    """The update as whole-array expressions, in the order AdamW.step evaluates them."""
+    m *= betas[0]
+    m += (1.0 - betas[0]) * g
+    v *= betas[1]
+    v += (1.0 - betas[1]) * g * g
+    update = (m / (1.0 - betas[0] ** t)) / (np.sqrt(v / (1.0 - betas[1] ** t)) + eps)
+    return p - lr * wd * p - lr * update
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_step_equals_whole_array_expression(dtype, rng):
+    n = int(2.5 * optim._BLOCK)                     # ragged last block
+    shapes = [(n,), (5, n // 5), (3,)]
+    p0 = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    params = [Tensor(p.copy(), requires_grad=True) for p in p0]
+    opt = AdamW([(f"p{i}", p) for i, p in enumerate(params)], lr=0.05)
+    want = [p.copy() for p in p0]
+    m = [np.zeros_like(p) for p in p0]
+    v = [np.zeros_like(p) for p in p0]
+    for t in range(1, 6):
+        lr = 0.05 / t
+        for i, p in enumerate(params):
+            p.grad = rng.standard_normal(p.shape).astype(dtype)
+            want[i] = whole_array_adamw(want[i], m[i], v[i], p.grad, t, lr)
+        opt.step(lr=lr)
+    for p, w in zip(params, want):
+        assert p.data.dtype == dtype
+        assert np.array_equal(p.data, w)
+
+
+def test_caller_arrays_are_never_written(rng):
+    p0 = rng.standard_normal((4, 3))
+    given = p0.copy()
+    p = Tensor(p0, requires_grad=True)
+    opt = AdamW([("p", p)], lr=0.1)
+    for _ in range(2):
+        p.grad = rng.standard_normal((4, 3))
+        opt.step()
+    np.testing.assert_array_equal(p0, given)
+    assert not np.array_equal(p.data, given)
+    # an array assigned to p.data between steps is copied, not written
+    later = rng.standard_normal((4, 3))
+    kept = later.copy()
+    p.data = later
+    p.grad = rng.standard_normal((4, 3))
+    opt.step()
+    np.testing.assert_array_equal(later, kept)
+    assert not np.array_equal(p.data, kept)
+
+
+def test_failed_step_writes_nothing():
+    a, b = leaf([1.0, 2.0]), leaf([3.0])
+    opt = AdamW([("a", a), ("b", b)], lr=0.1)
+    a.grad = np.array([1.0, 1.0])
+    b.grad = np.array([np.inf])
+    with pytest.raises(ContractError, match="'b'"):
+        opt.step()
+    np.testing.assert_array_equal(a.data, [1.0, 2.0])
+    np.testing.assert_array_equal(opt.m[0], [0.0, 0.0])
+    assert opt.t == 0
+
+
+def test_overflowing_gradient_sum_is_not_non_finite():
+    p = leaf([0.0, 0.0])
+    opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
+    p.grad = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):              # g * g overflows in v
+        opt.step()
+    assert opt.t == 1
 
 
 def test_decay_is_decoupled_from_gradients(rng):

@@ -9,6 +9,7 @@ import pytest
 
 from audioinr.fewsound import FewSoundConfig, build_state, state_flatten
 from audioinr.inr import ARCHS, InrConfig, build, flatten_params, param_count
+from audioinr.tensor import ContractError
 from audioinr.serialize import (
     MAGIC,
     SerializationError,
@@ -88,6 +89,17 @@ def test_file_size_formula(tmp_path):
     config_block = 2 + 4 * len(cfg.hidden) + struct.calcsize("<II4dIIBq")
     want = len(MAGIC) + 1 + 1 + config_block + 8 + 8 * param_count(cfg) + 4
     assert path.stat().st_size == want
+
+
+def test_meta_config_block_starts_with_window_and_sample_rate(tmp_path):
+    cfg = tiny_meta_config()
+    cfg.sample_rate = 12345
+    path = tmp_path / "meta.bin"
+    save_model(path, build_state(cfg))
+    blob = path.read_bytes()
+    assert struct.unpack_from("<IIII", blob, 7) == (cfg.window, 12345, cfg.embed_dim,
+                                                    cfg.conv0_channels)
+    assert load_model(path).config.sample_rate == 12345
 
 
 def test_save_is_deterministic(tmp_path):
@@ -179,6 +191,42 @@ def test_rejects_trailing_junk(tmp_path):
     _rewrite(path, bytes(blob[:-4]) + b"\x00\x00\x00")
     with pytest.raises(SerializationError, match="trailing bytes"):
         load_model(path)
+
+
+@pytest.mark.parametrize("field,value", [("grid_size", 0), ("hidden", ()),
+                                         ("omega0", -1.0)])
+def test_rejects_invalid_network_config(field, value, tmp_path):
+    # the CRC is valid; the stored values are ones InrConfig refuses
+    model = build(InrConfig("siren", **TINY_TARGET))
+    setattr(model.config, field, value)
+    path = tmp_path / "bad.bin"
+    save_model(path, model)
+    with pytest.raises(SerializationError, match="invalid network config at offset 7") as e:
+        load_model(path)
+    assert isinstance(e.value.__cause__, ContractError)
+
+
+@pytest.mark.parametrize("field,value", [("window", 8), ("window", 66),
+                                         ("embed_dim", 0)])
+def test_rejects_invalid_meta_config(field, value, tmp_path):
+    state = build_state(tiny_meta_config())
+    setattr(state.config, field, value)
+    path = tmp_path / "bad.bin"
+    save_model(path, state)
+    with pytest.raises(SerializationError,
+                       match="invalid meta-trainer config at offset 7") as e:
+        load_model(path)
+    assert isinstance(e.value.__cause__, ContractError)
+
+
+def test_rejects_invalid_target_inside_meta_config(tmp_path):
+    state = build_state(tiny_meta_config())
+    state.config.target.grid_size = 0
+    path = tmp_path / "bad.bin"
+    save_model(path, state)
+    with pytest.raises(SerializationError, match="invalid network config") as e:
+        load_model(path)
+    assert isinstance(e.value.__cause__, ContractError)
 
 
 def test_rejects_unserializable_object(tmp_path):

@@ -145,6 +145,74 @@ def test_matmul_grad(rng):
     np.testing.assert_allclose(b.grad, num_grad(f, b), atol=1e-7)
 
 
+def unfused_linear(x, w, b=None):
+    """Oracle for T.linear: the matmul / transpose / add graph it replaces."""
+    out = T.matmul(x, T.transpose(w))
+    return out if b is None else T.ew_binary("add", out, b)
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("with_bias", [True, False])
+def test_linear_grad_check(rows, with_bias, rng):
+    x = leaf(rng.standard_normal((rows, 4)))
+    w = leaf(rng.standard_normal((3, 4)))
+    b = leaf(rng.standard_normal(3)) if with_bias else None
+    c = Tensor(rng.standard_normal((rows, 3)))
+
+    def f(*ts):
+        return (T.linear(x, w, b).sin() * c).sum()
+
+    inputs = [x, w, b] if with_bias else [x, w]
+    assert grad_check(f, inputs) < 1e-7
+    want = x.data @ w.data.T + (b.data if with_bias else 0.0)
+    np.testing.assert_array_equal(T.linear(x, w, b).data, want)
+
+
+def test_linear_repeated_use_accumulates(rng):
+    # the second backward write into each parent adds to the first
+    x = leaf(rng.standard_normal((5, 4)))
+    w = leaf(rng.standard_normal((3, 4)))
+    b = leaf(rng.standard_normal(3))
+
+    def f():
+        return T.linear(x, w, b).square().sum() + T.linear(x, w, b).scale(2.0).sum()
+
+    backward(f())
+    for t in (x, w, b):
+        np.testing.assert_allclose(t.grad, num_grad(f, t), rtol=1e-6, atol=1e-7)
+
+
+def test_linear_float32_grads_match_float64(rng):
+    vals = [rng.standard_normal(s).astype(np.float32) for s in ((64, 16), (8, 16), (8,))]
+    c = rng.standard_normal((64, 8))
+
+    def grads(dtype):
+        x, w, b = (Tensor(v.astype(dtype), requires_grad=True) for v in vals)
+        out = T.linear(x, w, b)
+        assert out.data.dtype == dtype
+        backward((out.sin() * Tensor(c.astype(dtype))).sum())
+        for t in (x, w, b):
+            assert t.grad.dtype == dtype
+        return [x.grad, w.grad, b.grad]
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
+def test_linear_shape_errors():
+    x, w = leaf(np.ones((2, 3))), leaf(np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        T.linear(leaf(np.ones(3)), w)
+    with pytest.raises(ShapeError):
+        T.linear(x, leaf(np.ones(3)))
+    with pytest.raises(ShapeError):
+        T.linear(x, leaf(np.ones((4, 2))))
+    with pytest.raises(ShapeError):
+        T.linear(x, w, leaf(np.ones(3)))
+    with pytest.raises(ShapeError):
+        T.linear(x, w, leaf(np.ones((1, 4))))
+
+
 UNARY_CASES = [
     ("sin", None, (-2.0, 2.0)),
     ("cos", None, (-2.0, 2.0)),
