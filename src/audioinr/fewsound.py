@@ -162,6 +162,36 @@ def build_state(config: FewSoundConfig) -> FewSoundState:
     return FewSoundState(config, encoder, weight_enc, hyper, theta, universal.embedding)
 
 
+def state_from_vector(config: FewSoundConfig, vector: np.ndarray) -> FewSoundState:
+    """A state whose parameters are consecutive slices of a state_flatten
+    vector: views of it when it has the default dtype, cast copies otherwise."""
+    vector = np.asarray(vector)
+    expected = state_param_count(config)
+    if vector.ndim != 1 or vector.size != expected:
+        raise ShapeError(f"state vector has {vector.size} entries, "
+                         f"config implies {expected}")
+    dt = T.get_default_dtype()
+    p_count = inr.param_count(config.target)
+    off = 0
+
+    def take(shapes):
+        nonlocal off
+        out = []
+        for name, shape in shapes:
+            k = int(np.prod(shape))
+            data = vector[off:off + k].reshape(shape).astype(dt, copy=False)
+            out.append((name, Tensor(data, requires_grad=True, name=name)))
+            off += k
+        return out
+
+    encoder = take(_encoder_plan(config))
+    weight_enc = take(_weight_enc_plan(config, p_count))
+    hyper = take(_hyper_plan(config, p_count))
+    [(_, theta)] = take([("theta", (p_count,))])
+    return FewSoundState(config, encoder, weight_enc, hyper, theta,
+                         inr.frozen_embedding(config.target))
+
+
 def _bias_fan(bias_name: str, shapes) -> int:
     stem = bias_name[:-2] + ".w"
     for name, shape in shapes:
@@ -243,17 +273,21 @@ def predict_update(state: FewSoundState, e_s: Tensor, e_theta: Tensor) -> Tensor
     return T.reshape(h, (h.shape[1],))
 
 
-def adapted_flat(state: FewSoundState, window) -> Tensor:
-    """theta + delta on the tape (gradients reach all four groups)."""
+def adapted_flat(state: FewSoundState, window, e_theta: Tensor | None = None) -> Tensor:
+    """theta + delta on the tape (gradients reach all four groups).
+
+    ``e_theta`` is encode_weights(state), computed here when not given;
+    callers adapting several windows to one state compute it once.
+    """
     e_s = encode_audio(state, window)
-    e_t = encode_weights(state)
-    delta = predict_update(state, e_s, e_t)
-    return state.theta + delta
+    if e_theta is None:
+        e_theta = encode_weights(state)
+    return state.theta + predict_update(state, e_s, e_theta)
 
 
-def adapt(state: FewSoundState, window) -> inr.InrModel:
+def adapt(state: FewSoundState, window, e_theta: Tensor | None = None) -> inr.InrModel:
     """Materialize the per-clip network f_{theta + delta}."""
-    flat = adapted_flat(state, window)
+    flat = adapted_flat(state, window, e_theta)
     return inr.unflatten_params(state.config.target, flat.data.astype(np.float64))
 
 
@@ -301,8 +335,7 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
             total = None
             e_t = encode_weights(state)
             for ci in batch:
-                e_s = encode_audio(state, windows[ci])
-                flat = state.theta + predict_update(state, e_s, e_t)
+                flat = adapted_flat(state, windows[ci], e_t)
                 pred = inr.forward_from_flat(config.target, flat, times,
                                              state.target_embedding)
                 term = loss_fns[ci](pred)
@@ -374,9 +407,10 @@ def reconstruct_long(state: FewSoundState | None, clip,
         if state is None:
             raise ContractError("either a trained state or a render_fn is required")
         times = np.linspace(-1.0, 1.0, window)
+        e_t = encode_weights(state)
 
         def render_fn(seg: np.ndarray) -> np.ndarray:
-            return adapt(state, seg).forward(times).data.astype(np.float64)
+            return adapt(state, seg, e_t).forward(times).data.astype(np.float64)
 
     n = x.size
     starts, rows = overlap_add_weights(n, window)

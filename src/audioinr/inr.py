@@ -5,14 +5,19 @@ Six architectures behind one config type:
 - ``nerf``   positional encoding (interleaved sin/cos octaves) + ReLU MLP
 - ``siren``  sinusoidal MLP, sin(omega0 (Wx+b)) hidden activations
 - ``rff``    random Fourier features (frozen Gaussian projection) + ReLU MLP
-- ``wire``   complex Gabor wavelet activations carried as (real, imag) pairs
+- ``wire``   complex Gabor wavelet activations, carried as stacked
+             (2, n, d) = [real, imag] arrays
 - ``finer``  variable-periodic activation sin(omega0 |u+1| u)
 - ``kan``    positional encoding + layers of learnable edge functions
              phi(x) = w_b silu(x) + w_s spline(x), nodes sum, no biases
 
 Each KAN layer runs as one ``bspline.kan_layer`` tape op, which builds
 its spline bases one block of rows at a time instead of as a dense
-(n, d_in, n_bases) tensor.
+(n, d_in, n_bases) tensor.  Each WIRE hidden layer runs as one
+``tensor.gabor_layer`` op; its envelope is set to exactly 0 where it
+would fall below the square root of the dtype's smallest normal number,
+so its activations and their gradients hold no subnormal values, on
+which matmuls run many times slower.
 
 Parameters flatten in a fixed layer-major order (dense: W then b; kan:
 w_b, w_s, coeffs), so flat vectors, additive deltas, and serialized
@@ -131,10 +136,7 @@ def build(config: InrConfig, seed: int | None = None) -> InrModel:
     """Initialize a network; draws happen in flatten order, embedding first."""
     rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
     dt = T.get_default_dtype()
-    embedding: dict = {}
-    if config.arch == "rff":
-        embedding["rff_b"] = rng.normal(0.0, config.rff_sigma,
-                                        config.rff_features).astype(np.float64)
+    embedding = frozen_embedding(config, rng)
 
     dims = layer_dims(config)
     n_layers = len(dims) - 1
@@ -145,6 +147,17 @@ def build(config: InrConfig, seed: int | None = None) -> InrModel:
         data = _init_param(config, name, shape, layer_idx, n_layers, rng)
         params.append(Tensor(data.astype(dt, copy=False), requires_grad=True, name=name))
     return InrModel(config, params, embedding)
+
+
+def frozen_embedding(config: InrConfig, rng: np.random.Generator | None = None) -> dict:
+    """Frozen state (the RFF projection): the first draws of ``rng``, by
+    default seeded with config.seed, as in build(config)."""
+    if config.arch != "rff":
+        return {}
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+    return {"rff_b": rng.normal(0.0, config.rff_sigma,
+                                config.rff_features).astype(np.float64)}
 
 
 def _init_param(config, name, shape, layer_idx, n_layers, rng) -> np.ndarray:
@@ -262,23 +275,12 @@ def _kan_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor, dt) -> Tensor:
 
 def _wire_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor) -> Tensor:
     n = t2.shape[0]
-    om, s0 = cfg.omega0, cfg.s0
-    pairs = [(plist[2 * i], plist[2 * i + 1]) for i in range(len(plist) // 2)]
-    re, im = t2, None
-    for w, b in pairs[:-1]:
-        z_re = T.linear(re, w, b)
-        z_im = T.linear(im, w) if im is not None else None
-        # exp(i om z) exp(-s0^2 |z|^2): combine both exponents before exp so the
-        # magnitude stays bounded by e^(om^2 / (4 s0^2))
-        if z_im is None:
-            expo = z_re.square().scale(-s0 * s0)
-        else:
-            expo = z_im.scale(-om) + (z_re.square() + z_im.square()).scale(-s0 * s0)
-        mag = expo.exp()
-        ang = z_re.scale(om)
-        re, im = mag * ang.cos(), mag * ang.sin()
-    w, b = pairs[-1]
-    return T.reshape(T.linear(re, w, b), (n,))
+    x = t2
+    for i in range(0, len(plist) - 2, 2):
+        x = T.gabor_layer(x, plist[i], plist[i + 1], cfg.omega0, cfg.s0)
+    # the output layer reads the real half: rows [0, n) of the stacked (2n, d)
+    out = T.linear(T.reshape(x, (2 * n, x.shape[-1])), plist[-2], plist[-1])
+    return T.narrow(T.reshape(out, (2 * n,)), 0, n)
 
 
 # -- flat-vector plumbing ------------------------------------------------------
@@ -295,13 +297,15 @@ def unflatten_params(config: InrConfig, vector: np.ndarray) -> InrModel:
     if vector.ndim != 1 or vector.size != expected:
         raise ShapeError(f"parameter vector has {vector.size} entries, "
                          f"config needs {expected}")
-    model = build(config)
+    dt = T.get_default_dtype()
+    params = []
     off = 0
-    for p in model.params:
-        k = p.data.size
-        p.data = vector[off:off + k].reshape(p.data.shape).astype(p.data.dtype)
+    for name, shape in param_shapes(config):
+        k = int(np.prod(shape))
+        params.append(Tensor(vector[off:off + k].reshape(shape).astype(dt),
+                             requires_grad=True, name=name))
         off += k
-    return model
+    return InrModel(config, params, frozen_embedding(config))
 
 
 def apply_delta(model: InrModel, delta: np.ndarray) -> InrModel:

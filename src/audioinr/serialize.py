@@ -62,6 +62,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
@@ -197,14 +201,12 @@ def load_model(path):
             raise SerializationError(f"{len(body) - r.off} trailing bytes at offset {r.off}")
         return inr.unflatten_params(cfg, vec)
     if kind == KIND_FEWSOUND:
-        from .fewsound import build_state, state_unflatten, state_param_count
+        from .fewsound import state_from_vector, state_param_count
         cfg = _unpack_fewsound_config(r)
         vec = _read_payload(r, state_param_count(cfg))
         if r.off != len(body):
             raise SerializationError(f"{len(body) - r.off} trailing bytes at offset {r.off}")
-        state = build_state(cfg)
-        state_unflatten(state, vec)
-        return state
+        return state_from_vector(cfg, vec)
     raise SerializationError(f"unknown kind byte {kind} at offset 6")
 
 

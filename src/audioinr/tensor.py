@@ -277,6 +277,90 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _node(out, (x, w) if b is None else (x, w, b), bwd)
 
 
+def gabor_floor(dtype) -> float:
+    """Exponent below which gabor_layer sets its envelope to exactly 0.
+
+    At half of ln(smallest normal) the envelope is still normal, and so is
+    its product with any activation or gradient of order one: no
+    subnormal reaches a matmul, whose cost on subnormals is 5-15x.
+    """
+    return 0.5 * float(np.log(np.finfo(dtype).tiny))
+
+
+def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Tensor:
+    """One WIRE hidden layer as one node: the complex Gabor wavelet of z = x Wᵀ + b.
+
+    ``x`` is a real (n, d_in) input or a stacked complex one, (2, n, d_in)
+    = [re, im]; the output is always stacked, (2, n, d_out).  With the
+    combined exponent expo = -omega0 z_im - s0² |z|², kept bounded by
+    e^(omega0² / (4 s0²)), it is e^expo [cos(omega0 z_re), sin(omega0 z_re)].
+    The bias enters the real half only.  Where expo < gabor_floor(dtype)
+    the envelope, and so its gradient, is exactly 0.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    first = x.data.ndim == 2
+    if not (first or (x.data.ndim == 3 and x.shape[0] == 2)) or w.data.ndim != 2 \
+            or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"gabor_layer shapes x{x.shape} and W{w.shape} do not chain; "
+                         "x must be (n, d_in) or (2, n, d_in)")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"gabor_layer bias shape {b.shape} != ({w.shape[0]},)")
+    n, d_out = x.shape[-2], w.shape[0]
+    xs = x.data.reshape(-1, x.shape[-1])
+    dt = np.result_type(x.data, w.data, b.data)
+    z = (xs @ w.data.T).astype(dt, copy=False).reshape(-1, n, d_out)
+    z_re = z[0]
+    z_re += b.data
+    # squares, their sum, then the scales: the order the reference graph in the
+    # tests rounds in, so float64 losses agree with it bit for bit
+    expo = np.square(z_re)
+    if not first:
+        expo += np.square(z[1])
+    expo *= -s0 * s0
+    if not first:
+        expo += -omega0 * z[1]
+    np.copyto(expo, -np.inf, where=expo < gabor_floor(expo.dtype))
+    mag = np.exp(expo, out=expo)
+    ang = omega0 * z_re
+    out = np.empty((2, n, d_out), dtype=z.dtype)
+    np.multiply(mag, np.cos(ang), out=out[0])
+    np.multiply(mag, np.sin(ang, out=ang), out=out[1])
+
+    def bwd(g):
+        dz = _gabor_dz(g, out, z, omega0, s0)
+        dzs = dz.reshape(-1, d_out)
+        if x.requires_grad:
+            _accum_fresh(x, (dzs @ w.data).reshape(x.shape))
+        if w.requires_grad:
+            _accum_fresh(w, dzs.T @ xs)
+        if b.requires_grad:
+            _accum_fresh(b, dz[0].sum(axis=0))
+
+    return _node(out, (x, w, b), bwd)
+
+
+def _gabor_dz(g: np.ndarray, out: np.ndarray, z: np.ndarray, omega0: float,
+              s0: float) -> np.ndarray:
+    """Gradient at z (z's shape) from the gradient g at gabor_layer's output.
+
+    With out = e^expo [cos, sin] of omega0 z_re, the envelope's gradient
+    times the envelope is g_re re + g_im im and the phase's is
+    g_im re - g_re im, so neither cos nor sin is kept; both are exactly 0
+    wherever the envelope was floored.
+    """
+    re, im = out
+    d_expo = g[0] * re
+    d_expo += g[1] * im
+    d_ang = g[1] * re
+    d_ang -= g[0] * im
+    k = 2.0 * s0 * s0
+    dz = np.empty_like(z)
+    dz[0] = omega0 * d_ang - k * z[0] * d_expo
+    if len(z) == 2:
+        dz[1] = -(omega0 + k * z[1]) * d_expo
+    return dz
+
+
 def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:
     """Elementwise unary op; ``alpha`` parameterizes scale/shift/clamp."""
     a = _as_tensor(a)

@@ -22,7 +22,7 @@ from .inr import InrConfig, InrModel
 from .loss import DEFAULT_RESOLUTIONS, StftResolution, make_combined_loss
 from . import metrics as M
 from .optim import AdamW
-from .wavio import AudioClip, WavError, wav_read
+from .wavio import AudioClip, WavError, wav_paths, wav_read
 
 DEFAULT_KAN_LR = 5e-3
 DEFAULT_MLP_LR = 1e-4
@@ -145,14 +145,7 @@ def compare_archs(dataset, configs: Sequence[InrConfig], train_config: TrainConf
     report = M.MetricsReport()
     clips: list[AudioClip] = []
     if isinstance(dataset, (str, bytes)) or hasattr(dataset, "__fspath__"):
-        import os
-        paths = []
-        for root, _, names in os.walk(os.fspath(dataset)):
-            for name in sorted(names):
-                if name.lower().endswith(".wav"):
-                    paths.append(os.path.join(root, name))
-        paths.sort()
-        for p in paths:
+        for p in wav_paths(dataset):
             try:
                 clips.append(wav_read(p))
             except (WavError, OSError) as e:

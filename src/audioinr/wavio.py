@@ -148,18 +148,21 @@ def resample(clip: AudioClip, target_sr: int = 22050) -> AudioClip:
     return AudioClip(target_sr, y, clip.source_id)
 
 
+def wav_paths(directory) -> list[str]:
+    """Paths of every .wav file under a directory (str, bytes or path-like;
+    searched recursively), as sorted str paths."""
+    return sorted(os.path.join(root, name)
+                  for root, _, names in os.walk(os.fsdecode(directory))
+                  for name in names if name.lower().endswith(".wav"))
+
+
 def prepare_dataset(directory, crop_len: int, seed: int = 0,
                     target_sr: int = 22050) -> list[AudioClip]:
     """Read every WAV under a directory (recursively, sorted by path),
     resample, and crop a random window of crop_len from each.  Short
     clips are zero-padded with a warning."""
     directory = os.fspath(directory)
-    paths = []
-    for root, _, names in os.walk(directory):
-        for name in sorted(names):
-            if name.lower().endswith(".wav"):
-                paths.append(os.path.join(root, name))
-    paths.sort()
+    paths = wav_paths(directory)
     if not paths:
         raise ContractError(f"no .wav files under {directory!r}")
     rng = np.random.Generator(np.random.PCG64(seed))

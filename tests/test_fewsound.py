@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from audioinr import fewsound
 from audioinr import tensor as T
 from audioinr.fewsound import (
     FewSoundConfig,
@@ -328,6 +329,27 @@ def test_reconstruct_with_state_smoke(rng):
     assert out.shape == (100,)
     assert np.all(np.isfinite(out))
 
+
+def test_reconstruct_encodes_weights_once(monkeypatch, rng):
+    # random weights everywhere, so each window's update depends on E_theta
+    state = build_state(tiny_config())
+    for _, p in state.named_params():
+        p.data = 0.1 * rng.standard_normal(p.data.shape)
+    x = rng.uniform(-0.5, 0.5, 300)
+    times = np.linspace(-1.0, 1.0, state.config.window)
+    want = reconstruct_long(state, x, render_fn=lambda seg: adapt(state, seg)
+                            .forward(times).data.astype(np.float64))
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return encode_weights(s)
+
+    monkeypatch.setattr(fewsound, "encode_weights", counted)
+    got = reconstruct_long(state, x)
+    assert len(window_plan(x.size, state.config.window)) == 9
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got, want)
 
 def test_reconstruct_validation(rng):
     with pytest.raises(ContractError, match="window length"):

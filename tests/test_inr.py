@@ -359,6 +359,72 @@ def test_fused_dense_layers_match_unfused_graph(arch, monkeypatch, rng):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def unfused_wire_forward(cfg, plist, t2):
+    """Oracle for WIRE's Gabor layers: the linear / square / scale / exp /
+    cos / sin / mul chain, one (real, imaginary) pair of tensors per layer."""
+    om, s0 = cfg.omega0, cfg.s0
+    re, im = t2, None
+    for i in range(0, len(plist) - 2, 2):
+        w, b = plist[i], plist[i + 1]
+        z_re = T.linear(re, w, b)
+        z_im = T.linear(im, w) if im is not None else None
+        if z_im is None:
+            expo = z_re.square().scale(-s0 * s0)
+        else:
+            expo = z_im.scale(-om) + (z_re.square() + z_im.square()).scale(-s0 * s0)
+        mag = expo.exp()
+        ang = z_re.scale(om)
+        re, im = mag * ang.cos(), mag * ang.sin()
+    return T.reshape(T.linear(re, plist[-2], plist[-1]), (t2.shape[0],))
+
+
+def test_wire_gabor_layers_match_unfused_graph(monkeypatch, rng):
+    model = build(InrConfig("wire"))
+    n = 4096
+    times = np.linspace(-1.0, 1.0, n)
+    loss_fn = make_combined_loss(0.3 * rng.standard_normal(n))
+
+    def loss_and_grads():
+        loss = loss_fn(model.forward(times))
+        grads = backward(loss, leaves=model.params)
+        return loss.item(), [grads[id(p)].copy() for p in model.params]
+
+    got_loss, got_grads = loss_and_grads()
+    monkeypatch.setattr(inr, "_wire_forward", unfused_wire_forward)
+    want_loss, want_grads = loss_and_grads()
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    for got, want in zip(got_grads, want_grads):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def _subnormal_count(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def test_wire_float32_step_has_no_subnormals(monkeypatch, rng):
+    # the envelope floor keeps every value a matmul reads normal or zero;
+    # the unfused chain yields about 1e5 subnormal activations here
+    handed = []
+    gabor_dz = T._gabor_dz
+
+    def record(*args):
+        handed.append(gabor_dz(*args))
+        return handed[-1]
+
+    monkeypatch.setattr(T, "_gabor_dz", record)
+    n = 4096
+    with T.default_dtype("float32"):
+        model = build(InrConfig("wire"))
+        out = model.forward(np.linspace(-1.0, 1.0, n, dtype=np.float32))
+        backward(make_combined_loss(0.3 * rng.standard_normal(n))(out))
+    nodes = _reachable(out)
+    assert all(t.data.dtype == np.float32 for t in nodes)
+    assert len(handed) == len(model.config.hidden)
+    grads = [t.grad for t in nodes if t.grad is not None]
+    for a in [t.data for t in nodes] + grads + handed:
+        assert _subnormal_count(a) == 0
+
+
 # -- graph memory --------------------------------------------------------------
 
 
@@ -403,3 +469,15 @@ def test_siren_graph_holds_one_node_per_dense_layer():
     params = {id(p) for p in model.params}
     layer_nodes = [t for t in nodes if any(id(p) in params for p in t._parents)]
     assert len(layer_nodes) == len(cfg.hidden) + 1
+
+
+def test_wire_graph_holds_one_node_per_hidden_layer():
+    cfg = InrConfig("wire")
+    model = build(cfg)
+    nodes = _reachable(model.forward(np.linspace(-1.0, 1.0, 256)))
+    params = {id(p) for p in model.params}
+    layer_nodes = [t for t in nodes if any(id(p) in params for p in t._parents)]
+    assert len(layer_nodes) == len(cfg.hidden) + 1
+    # beyond the layers: reshape to (2n, d), and reshape and narrow after the
+    # output layer to keep its real half
+    assert sum(t._backward is not None for t in nodes) == len(cfg.hidden) + 4

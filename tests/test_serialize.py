@@ -1,12 +1,16 @@
 """Binary model files: layout arithmetic, roundtrips, corruption detection."""
 
 import glob
+import os
+import stat
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from audioinr import fewsound, inr
+from audioinr import tensor as T
 from audioinr.fewsound import FewSoundConfig, build_state, state_flatten
 from audioinr.inr import ARCHS, InrConfig, build, flatten_params, param_count
 from audioinr.tensor import ContractError
@@ -70,6 +74,33 @@ def test_fewsound_roundtrip_bitwise(tmp_path, rng):
         assert getattr(back.config, name) == getattr(cfg, name), name
     np.testing.assert_array_equal(state_flatten(back), state_flatten(state))
 
+
+def test_fewsound_load_draws_no_random_init(tmp_path, monkeypatch, rng):
+    cfg = tiny_meta_config()
+    cfg.target = InrConfig("rff", **TINY_TARGET)
+    state = build_state(cfg)
+    for _, p in state.named_params():
+        p.data = rng.standard_normal(p.data.shape)
+    path = tmp_path / "state.bin"
+    save_model(path, state)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_model drew a random init")
+
+    monkeypatch.setattr(fewsound, "build_state", no_init)
+    monkeypatch.setattr(inr, "build", no_init)
+    back = load_model(path)
+    assert [n for n, _ in back.named_params()] == [n for n, _ in state.named_params()]
+    for (name, p), (_, q) in zip(state.named_params(), back.named_params()):
+        assert q.name == name and q.requires_grad and q.data.dtype == np.float64
+        np.testing.assert_array_equal(q.data, p.data)
+    np.testing.assert_array_equal(back.target_embedding["rff_b"],
+                                  state.target_embedding["rff_b"])
+    with T.default_dtype("float32"):
+        back32 = load_model(path)
+    for (_, p), (_, q) in zip(state.named_params(), back32.named_params()):
+        assert q.data.dtype == np.float32
+        np.testing.assert_array_equal(q.data, p.data.astype(np.float32))
 
 def test_rff_projection_survives_roundtrip(tmp_path):
     model = build(InrConfig("rff", **TINY_TARGET))
@@ -243,3 +274,13 @@ def test_atomic_write_overwrites_cleanly(tmp_path):
     atomic_write_bytes(path, b"second")
     assert path.read_bytes() == b"second"
     assert glob.glob(str(tmp_path / ".tmp-*")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_honours_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "out.bin", b"data")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.bin").st_mode) == 0o666 & ~umask

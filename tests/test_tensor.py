@@ -213,6 +213,77 @@ def test_linear_shape_errors():
         T.linear(x, w, leaf(np.ones((1, 4))))
 
 
+# -- the Gabor layer -----------------------------------------------------------
+
+
+def gabor_inputs(rng, first, n=6, d_in=3, d_out=4):
+    x = rng.uniform(-1.0, 1.0, (n, 1)) if first else 0.3 * rng.standard_normal((2, n, d_in))
+    w = rng.standard_normal((d_out, x.shape[-1])) / np.sqrt(x.shape[-1])
+    return [x, w, rng.uniform(-0.5, 0.5, d_out)]
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_gabor_layer_grad_check(first, rng):
+    x, w, b = (leaf(v) for v in gabor_inputs(rng, first))
+    c = Tensor(rng.standard_normal((2, x.shape[-2], w.shape[0])))
+
+    def f(*ts):
+        return (T.gabor_layer(x, w, b, 5.0, 2.0) * c).sum()
+
+    assert grad_check(f, [x, w, b]) < 1e-6
+
+
+def test_gabor_layer_floors_the_envelope():
+    # one unit far out on the Gaussian: its output and every gradient through
+    # it are exactly zero, in float32 as in float64
+    for dt in (np.float32, np.float64):
+        floor = T.gabor_floor(dt)
+        assert floor == pytest.approx(0.5 * np.log(np.finfo(dt).tiny))
+        s0 = 10.0
+        z = np.array([0.0, np.sqrt(-floor) / s0 * 1.01], dtype=dt)
+        x = Tensor(np.ones((1, 1), dtype=dt), requires_grad=True)
+        w = Tensor(z[:, None], requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=dt), requires_grad=True)
+        out = T.gabor_layer(x, w, b, 20.0, s0)
+        assert out.data.dtype == dt
+        assert out.data[0, 0, 0] == 1.0 and np.all(out.data[:, 0, 1] == 0.0)
+        backward((out * Tensor(np.ones((2, 1, 2), dtype=dt))).sum())
+        assert w.grad[1, 0] == 0.0 and b.grad[1] == 0.0
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_gabor_layer_float32_grads_match_float64(first, rng):
+    # measured worst over 20 seeds: 6.0e-6 of the largest entry
+    vals = [v.astype(np.float32) for v in gabor_inputs(rng, first, n=512, d_in=32, d_out=32)]
+    c = rng.standard_normal((2, 512, 32))
+
+    def grads(dtype):
+        ts = [Tensor(v.astype(dtype), requires_grad=True) for v in vals]
+        out = T.gabor_layer(*ts, 20.0, 10.0)
+        assert out.data.dtype == dtype
+        backward((out * Tensor(c.astype(dtype))).sum())
+        for t in ts:
+            assert t.grad.dtype == dtype
+        return [t.grad for t in ts]
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert np.abs(g32 - g64).max() <= 2e-5 * np.abs(g64).max()
+
+
+def test_gabor_layer_shape_errors():
+    w, b = leaf(np.ones((4, 3))), leaf(np.ones(4))
+    for bad_x in (np.ones(3), np.ones((3, 2, 3)), np.ones((2, 2, 2, 3)), np.ones((2, 2))):
+        with pytest.raises(ShapeError):
+            T.gabor_layer(leaf(bad_x), w, b, 20.0, 10.0)
+    x = leaf(np.ones((2, 5, 3)))
+    with pytest.raises(ShapeError):
+        T.gabor_layer(x, leaf(np.ones(3)), b, 20.0, 10.0)
+    with pytest.raises(ShapeError):
+        T.gabor_layer(x, w, leaf(np.ones(3)), 20.0, 10.0)
+    with pytest.raises(ShapeError):
+        T.gabor_layer(x, w, leaf(np.ones((1, 4))), 20.0, 10.0)
+
+
 UNARY_CASES = [
     ("sin", None, (-2.0, 2.0)),
     ("cos", None, (-2.0, 2.0)),

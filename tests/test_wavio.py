@@ -1,6 +1,7 @@
 """WAV container I/O, resampling, and dataset preparation."""
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -13,6 +14,7 @@ from audioinr.wavio import (
     WavError,
     prepare_dataset,
     resample,
+    wav_paths,
     wav_read,
     wav_write,
 )
@@ -221,6 +223,16 @@ def _write_dataset(root, rng):
         wav_write(root / name, AudioClip(22050, x))
     (root / "notes.txt").write_text("ignored")
 
+
+def test_wav_paths_recursive_and_sorted(tmp_path):
+    for rel in ("b.wav", "sub/a.WAV", "a.wav", "sub/deeper/c.wav", "notes.txt", "sub/x.wav.bak"):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes(b"")
+    got = [os.path.relpath(p, tmp_path) for p in wav_paths(tmp_path)]
+    assert got == ["a.wav", "b.wav", os.path.join("sub", "a.WAV"),
+                   os.path.join("sub", "deeper", "c.wav")]
+    assert wav_paths(os.fsencode(tmp_path)) == wav_paths(str(tmp_path))
+    assert wav_paths(tmp_path / "sub" / "deeper") == [str(tmp_path / "sub" / "deeper" / "c.wav")]
 
 def test_prepare_dataset_deterministic(tmp_path, rng):
     _write_dataset(tmp_path, rng)
