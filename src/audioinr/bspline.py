@@ -65,18 +65,6 @@ def make_grid(grid_size: int, order: int, lo: float = -1.0, hi: float = 1.0) -> 
     return SplineGrid(grid_size, order, float(lo), float(hi), knots)
 
 
-def basis(grid: SplineGrid, x) -> np.ndarray:
-    """Basis values B_i(x), shape x.shape + (n_bases,)."""
-    b, _ = _bases_impl(np.asarray(x, dtype=np.float64), grid, want_deriv=False)
-    return b
-
-
-def basis_grad(grid: SplineGrid, x) -> np.ndarray:
-    """Derivatives dB_i/dx, shape x.shape + (n_bases,)."""
-    _, d = _bases_impl(np.asarray(x, dtype=np.float64), grid, want_deriv=True)
-    return d
-
-
 def _banded_impl(xf: np.ndarray, grid: SplineGrid, want_deriv: bool):
     """Band evaluation over flat points: only the k+1 bases covering a
     point are nonzero, so the recursion carries k+1 columns, each a
@@ -131,24 +119,6 @@ def _scatter(cell: np.ndarray, band, grid: SplineGrid) -> np.ndarray:
     for p, col in enumerate(band):
         full[idx + p] = col
     return full.reshape(cell.size, nb)
-
-
-def _bases_impl(x: np.ndarray, grid: SplineGrid, want_deriv: bool):
-    x = np.clip(x, grid.lo, grid.hi)
-    shp = x.shape
-    cell, band, dband = _banded_impl(x.reshape(-1), grid, want_deriv)
-    bases = _scatter(cell, band, grid).reshape(shp + (grid.n_bases,))
-    if not want_deriv:
-        return bases, None
-    return bases, _scatter(cell, dband, grid).reshape(shp + (grid.n_bases,))
-
-
-def spline_eval(grid: SplineGrid, coeffs, x) -> np.ndarray:
-    """Evaluate sum_i coeffs[i] * B_i(x) over a batch of points."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape[-1] != grid.n_bases:
-        raise ContractError(f"need {grid.n_bases} coefficients, got {coeffs.shape[-1]}")
-    return basis(grid, x) @ coeffs
 
 
 def spline_bases(x: Tensor, grid: SplineGrid) -> Tensor:

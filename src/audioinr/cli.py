@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fewsound, inr, metrics, trainer
 from .inr import ARCHS, InrConfig
 from .serialize import SerializationError, atomic_write_bytes, load_model, save_model
@@ -93,7 +91,6 @@ def _train_config(args) -> trainer.TrainConfig:
         lr=args.lr,
         lam_t=args.lambda_t,
         lam_f=args.lambda_f,
-        seed=args.seed,
         precision=args.precision,
         weight_decay=args.weight_decay,
         n_mels=args.n_mels,

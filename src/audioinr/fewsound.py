@@ -20,7 +20,7 @@ crossfade normalized to sum to one at every sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -204,20 +204,6 @@ def state_flatten(state: FewSoundState) -> np.ndarray:
     """All four groups as one float64 vector, in named_params order."""
     return np.concatenate([p.data.ravel().astype(np.float64)
                            for _, p in state.named_params()])
-
-
-def state_unflatten(state: FewSoundState, vector: np.ndarray) -> None:
-    """Assign a vector produced by state_flatten back into the state."""
-    vector = np.asarray(vector)
-    expected = state_param_count(state.config)
-    if vector.ndim != 1 or vector.size != expected:
-        raise ShapeError(f"state vector has {vector.size} entries, "
-                         f"config implies {expected}")
-    off = 0
-    for _, p in state.named_params():
-        k = p.data.size
-        p.data = vector[off:off + k].reshape(p.data.shape).astype(p.data.dtype)
-        off += k
 
 
 # -- the three mappings --------------------------------------------------------

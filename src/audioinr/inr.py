@@ -28,7 +28,7 @@ the config seed, never stored in the parameter vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -306,22 +306,6 @@ def unflatten_params(config: InrConfig, vector: np.ndarray) -> InrModel:
                              requires_grad=True, name=name))
         off += k
     return InrModel(config, params, frozen_embedding(config))
-
-
-def apply_delta(model: InrModel, delta: np.ndarray) -> InrModel:
-    """New model with parameters theta + delta; the input model is untouched."""
-    delta = np.asarray(delta)
-    expected = param_count(model.config)
-    if delta.ndim != 1 or delta.size != expected:
-        raise ShapeError(f"delta has {delta.size} entries, config needs {expected}")
-    params = []
-    off = 0
-    for (name, shape), p in zip(param_shapes(model.config), model.params):
-        k = p.data.size
-        data = p.data + delta[off:off + k].reshape(shape).astype(p.data.dtype)
-        params.append(Tensor(data, requires_grad=True, name=name))
-        off += k
-    return InrModel(model.config, params, dict(model.embedding))
 
 
 def forward_from_flat(config: InrConfig, flat: Tensor, times, embedding: dict) -> Tensor:

@@ -1,11 +1,15 @@
 """Training objective: L1 in time plus multi-resolution mel STFT loss.
 
-The STFT runs on the autodiff tape as two matmuls against fixed
-cos/-sin DFT matrices, so the whole objective is differentiable down to
-the predicted waveform.  Mel projection uses triangular filters whose
-peaks are spaced on the mel scale from f_min to f_max inclusive; with
-peaks at both edges every in-range FFT bin lands on the rising or
-falling slope of at least one band, and adjacent slopes sum to one.
+``stft`` is the one short-time Fourier transform of the package: the
+complex one-sided rfft spectrum of Hann-windowed frames, in plain
+numpy.  The metrics take its magnitude off the tape; ``stft_mag`` puts
+the same magnitude on the tape as a single op whose backward pass is
+the rfft adjoint (an irfft and an overlap-add), so the whole objective
+is differentiable down to the predicted waveform.  Mel projection uses
+triangular filters whose peaks are spaced on the mel scale from f_min
+to f_max inclusive; with peaks at both edges every in-range FFT bin
+lands on the rising or falling slope of at least one band, and
+adjacent slopes sum to one.
 """
 
 from __future__ import annotations
@@ -53,47 +57,50 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * math.pi * np.arange(n) / n)
 
 
-_dft_cache: dict[tuple[int, np.dtype], tuple[np.ndarray, np.ndarray]] = {}
+def _frame_index(n: int, res: StftResolution) -> np.ndarray:
+    """(frames, window) sample indices: frames start at 0 and step by hop."""
+    if n < res.window_size:
+        raise ContractError(f"signal of {n} samples is shorter than one "
+                            f"{res.window_size}-sample frame")
+    n_frames = (n - res.window_size) // res.hop_size + 1
+    return res.hop_size * np.arange(n_frames)[:, None] + np.arange(res.window_size)
 
 
-def dft_matrices(fft_size: int, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, -sin) matrices of shape (fft_size, fft_size//2 + 1).
-
-    Built in float64 and cast once per dtype; the cached arrays are
-    read-only because every caller shares them.
-    """
-    key = (fft_size, np.dtype(dtype))
-    got = _dft_cache.get(key)
-    if got is None:
-        k = np.arange(fft_size // 2 + 1)
-        n = np.arange(fft_size)[:, None]
-        ang = 2.0 * math.pi * n * k / fft_size
-        got = (np.cos(ang).astype(dtype, copy=False), (-np.sin(ang)).astype(dtype, copy=False))
-        for m in got:
-            m.setflags(write=False)
-        _dft_cache[key] = got
-    return got
+def stft(x: np.ndarray, res: StftResolution) -> np.ndarray:
+    """Complex one-sided spectrum of the Hann-windowed frames of a 1-D
+    signal, shape (frames, fft//2+1); frames shorter than the FFT are
+    zero-padded at the end.  No centering."""
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ShapeError(f"stft expects a 1-D signal, got shape {x.shape}")
+    win = hann_window(res.window_size).astype(x.dtype, copy=False)
+    return np.fft.rfft(x[_frame_index(x.size, res)] * win, n=res.fft_size, axis=1)
 
 
 def stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
-    """Hann-windowed magnitude spectrogram, shape (frames, fft//2+1).
+    """Tape op: |stft(signal)|, shape (frames, fft//2+1), in the signal's dtype.
 
-    Frames start at 0 and advance by hop; no centering or padding.
-    Differentiable through to the signal.
+    The backward pass is the adjoint of the one-sided rfft: the bins
+    that stand for a conjugate pair are halved, so N * irfft maps the
+    complex bin gradients back to the frame samples, which overlap-add
+    into the signal.
     """
     signal = T._as_tensor(signal)
-    if signal.data.ndim != 1:
-        raise ShapeError(f"stft_mag expects a 1-D signal, got shape {signal.shape}")
-    frames = T.frame_signal(signal, res.window_size, res.hop_size)
-    dt = signal.data.dtype
-    win = Tensor(hann_window(res.window_size).astype(dt, copy=False))
-    wf = frames * win
-    if res.window_size < res.fft_size:
-        wf = T.pad_last(wf, res.fft_size)
-    c, s = dft_matrices(res.fft_size, dt)
-    re = T.matmul(wf, Tensor(c))
-    im = T.matmul(wf, Tensor(s))
-    return (re.square() + im.square()).sqrt()
+    x = signal.data
+    spec = stft(x, res)
+    mag = np.abs(spec)
+    N = res.fft_size
+
+    def bwd(g):
+        y = spec * (g / np.maximum(mag, T._SQRT_EPS))
+        y[:, 1:(N + 1) // 2] *= 0.5
+        win = hann_window(res.window_size)
+        frames = N * np.fft.irfft(y, n=N, axis=1)[:, :res.window_size] * win
+        idx = _frame_index(x.size, res)
+        T._accum_fresh(signal, np.bincount(idx.ravel(), weights=frames.ravel(),
+                                           minlength=x.size))
+
+    return T._node(mag.astype(x.dtype, copy=False), (signal,), bwd)
 
 
 @dataclass(frozen=True)
@@ -171,42 +178,14 @@ def _resolution_terms(mx: Tensor, mh: Tensor) -> Tensor:
     return sc + log_l1
 
 
-def mr_mel_stft_loss(x: Tensor, xhat: Tensor,
-                     resolutions: Sequence[StftResolution] = DEFAULT_RESOLUTIONS,
-                     sample_rate: int = 22050, n_mels: int = 80) -> Tensor:
-    """Mean over resolutions of spectral convergence + log-mel L1."""
-    x, xhat = T._as_tensor(x), T._as_tensor(xhat)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"signal shapes differ: {x.shape} vs {xhat.shape}")
-    total = None
-    for res in resolutions:
-        term = _resolution_terms(_mel_mag(x, res, sample_rate, n_mels),
-                                 _mel_mag(xhat, res, sample_rate, n_mels))
-        total = term if total is None else total + term
-    return total.scale(1.0 / len(resolutions))
-
-
-def combined_loss(x: Tensor, xhat: Tensor, lam_t: float = 1.0, lam_f: float = 1.0,
-                  resolutions: Sequence[StftResolution] = DEFAULT_RESOLUTIONS,
-                  sample_rate: int = 22050, n_mels: int = 80) -> Tensor:
-    """lam_t * mean|x - xhat| + lam_f * mr_mel_stft_loss(x, xhat)."""
-    if lam_t < 0 or lam_f < 0:
-        raise ContractError("loss weights must be non-negative")
-    x, xhat = T._as_tensor(x), T._as_tensor(xhat)
-    if x.shape != xhat.shape:
-        raise ShapeError(f"signal shapes differ: {x.shape} vs {xhat.shape}")
-    out = (x - xhat).abs().mean().scale(lam_t)
-    if lam_f > 0.0:
-        out = out + mr_mel_stft_loss(x, xhat, resolutions, sample_rate, n_mels).scale(lam_f)
-    return out
-
-
 def make_combined_loss(target: np.ndarray, lam_t: float = 1.0, lam_f: float = 1.0,
                        resolutions: Sequence[StftResolution] = DEFAULT_RESOLUTIONS,
                        sample_rate: int = 22050,
                        n_mels: int = 80) -> Callable[[Tensor], Tensor]:
-    """Loss closure against a fixed target; target mel magnitudes are
-    computed once up front instead of on every step."""
+    """Loss closure against a fixed target x: lam_t * mean|x - xhat| plus
+    lam_f * the mean over resolutions of spectral convergence + log-mel
+    L1.  Target mel magnitudes are computed once up front instead of on
+    every step; ``lam_f = 0`` skips the spectral term."""
     if lam_t < 0 or lam_f < 0:
         raise ContractError("loss weights must be non-negative")
     target = np.asarray(target)

@@ -1,7 +1,9 @@
 """Reconstruction quality metrics and spectrogram export.
 
-All functions here are evaluation-only and run on plain numpy (np.fft),
-independent of the autodiff tape.  The Wasserstein distance compares
+All functions here are evaluation-only and run on plain numpy,
+independent of the autodiff tape.  LSD and the spectrogram export take
+the magnitude of ``loss.stft``, the same Hann-framed rfft spectrum the
+training loss puts on the tape.  The Wasserstein distance compares
 normalized FFT magnitude distributions on the squared-index support
 [0, 1, 4, ..., (N-1)^2], which weights errors by how high in frequency
 they occur; the result is divided by N so clips of different lengths
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import ContractError, DomainError, ShapeError
-from .loss import StftResolution, hann_window
+from .loss import StftResolution, stft
 from .serialize import atomic_write_bytes
 
 PSNR_SENTINEL = 999.0    # stands in for +inf when mse == 0
@@ -25,8 +27,6 @@ LSD_EPS = 1e-8
 DB_EPS = 1e-7
 
 METRIC_COLUMNS = ("mse", "psnr", "lsd", "sisnr", "wd")
-# perceptual-model scores the report schema reserves but never computes
-ABSENT_METRICS = ("pesq", "stoi", "cdpam")
 
 DEFAULT_METRIC_RES = StftResolution(2048, 512, 2048)
 
@@ -50,23 +50,12 @@ def mse_psnr(x, xhat) -> tuple[float, float]:
     return mse, 10.0 * math.log10(1.0 / mse)
 
 
-def _np_stft_mag(x: np.ndarray, res: StftResolution) -> np.ndarray:
-    n = x.size
-    if n < res.window_size:
-        raise ContractError(f"signal of {n} samples is shorter than one "
-                            f"{res.window_size}-sample frame")
-    n_frames = (n - res.window_size) // res.hop_size + 1
-    idx = res.hop_size * np.arange(n_frames)[:, None] + np.arange(res.window_size)
-    frames = x[idx] * hann_window(res.window_size)
-    return np.abs(np.fft.rfft(frames, n=res.fft_size, axis=1))
-
-
 def lsd(x, xhat, res: StftResolution = DEFAULT_METRIC_RES) -> float:
     """Log-spectral distance: per-frame RMS over bins of log10 power
     differences, averaged over frames."""
     x, xhat = _pair(x, xhat)
-    px = np.log10(_np_stft_mag(x, res) ** 2 + LSD_EPS)
-    ph = np.log10(_np_stft_mag(xhat, res) ** 2 + LSD_EPS)
+    px = np.log10(np.abs(stft(x, res)) ** 2 + LSD_EPS)
+    ph = np.log10(np.abs(stft(xhat, res)) ** 2 + LSD_EPS)
     return float(np.mean(np.sqrt(np.mean((px - ph) ** 2, axis=1))))
 
 
@@ -116,15 +105,22 @@ def spectral_wasserstein(x, xhat) -> float:
 
 
 def compute_all(x, xhat, res: StftResolution = DEFAULT_METRIC_RES) -> dict[str, float]:
-    """All five metrics as a column-keyed dict."""
+    """Every metric defined for this pair, as a column-keyed dict.
+
+    mse and psnr are always present; lsd, sisnr and wd are left out when
+    the pair is too short or degenerate for them (their ContractError or
+    DomainError), e.g. silence has no SI-SNR or spectral distribution.
+    """
     mse, psnr = mse_psnr(x, xhat)
-    return {
-        "mse": mse,
-        "psnr": psnr,
-        "lsd": lsd(x, xhat, res),
-        "sisnr": si_snr(x, xhat),
-        "wd": spectral_wasserstein(x, xhat),
-    }
+    out = {"mse": mse, "psnr": psnr}
+    for name, fn, args in (("lsd", lsd, (x, xhat, res)),
+                           ("sisnr", si_snr, (x, xhat)),
+                           ("wd", spectral_wasserstein, (x, xhat))):
+        try:
+            out[name] = fn(*args)
+        except (ContractError, DomainError):
+            pass
+    return out
 
 
 # -- spectrogram export --------------------------------------------------------
@@ -135,7 +131,7 @@ def spectrogram_export(x, path, res: StftResolution = DEFAULT_METRIC_RES) -> tup
     <path>.csv (frames x bins) and <path>.pgm (bins tall, frames wide,
     grayscale normalized min->0, max->255).  Returns both paths."""
     x = np.asarray(x, dtype=np.float64)
-    db = 20.0 * np.log10(_np_stft_mag(x, res) + DB_EPS)
+    db = 20.0 * np.log10(np.abs(stft(x, res)) + DB_EPS)
 
     base = str(path)
     if base.endswith(".csv") or base.endswith(".pgm"):

@@ -113,10 +113,6 @@ class AdamW:
                 pb -= a
 
 
-def adamw_step(opt: AdamW, lr: float | None = None) -> None:
-    opt.step(lr)
-
-
 @dataclass(frozen=True)
 class OneCycleSchedule:
     max_lr: float

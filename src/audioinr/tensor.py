@@ -552,45 +552,6 @@ def expand_last(a: Tensor, n: int) -> Tensor:
     return _node(np.ascontiguousarray(out), (a,), bwd)
 
 
-def pad_last(a: Tensor, width: int) -> Tensor:
-    """Zero-pad the trailing axis up to ``width``."""
-    a = _as_tensor(a)
-    n = a.shape[-1]
-    if width < n:
-        raise ShapeError(f"pad_last target {width} smaller than current {n}")
-    if width == n:
-        return a
-    pad = [(0, 0)] * (a.data.ndim - 1) + [(0, width - n)]
-    out = np.pad(a.data, pad)
-
-    def bwd(g):
-        _accum(a, g[..., :n])
-
-    return _node(out, (a,), bwd)
-
-
-def frame_signal(a: Tensor, window: int, hop: int) -> Tensor:
-    """Slice a 1-D signal into overlapping frames of length ``window``."""
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError(f"frame_signal expects a 1-D signal, got shape {a.shape}")
-    n = a.size
-    if n < window:
-        raise ContractError(f"signal of {n} samples is shorter than one {window}-sample frame")
-    n_frames = (n - window) // hop + 1
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(window)[None, :]
-    out = a.data[idx]
-
-    def bwd(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            acc = np.bincount(idx.ravel(), weights=g.ravel(), minlength=n)
-            a.grad += acc.astype(a.data.dtype, copy=False)
-
-    return _node(out, (a,), bwd)
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution: x (C_in, T), w (C_out, C_in, K), b (C_out,) -> (C_out, T_out)."""
     x, w = _as_tensor(x), _as_tensor(w)

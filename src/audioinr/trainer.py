@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, ContractError, DomainError
+from .tensor import Tensor, ContractError
 from . import inr
 from .inr import InrConfig, InrModel
 from .loss import DEFAULT_RESOLUTIONS, StftResolution, make_combined_loss
@@ -34,7 +34,6 @@ class TrainConfig:
     lr: float | None = None                  # per-arch default when None
     lam_t: float = 1.0
     lam_f: float = 1.0
-    seed: int = 0
     precision: str = "float64"
     weight_decay: float = 0.01
     resolutions: tuple = DEFAULT_RESOLUTIONS
@@ -88,7 +87,7 @@ def fit_inr(clip: AudioClip, inr_config: InrConfig, train_config: TrainConfig) -
             opt.step()
             trace[step] = float(loss.data)
         pred = model.forward(times).data.astype(np.float64)
-    return FitResult(model, trace, _safe_metrics(x, pred, train_config.metric_res),
+    return FitResult(model, trace, M.compute_all(x, pred, train_config.metric_res),
                      time.monotonic() - started)
 
 
@@ -99,23 +98,7 @@ def evaluate(model: InrModel, clip: AudioClip,
         raise ContractError("empty clip")
     times = np.linspace(-1.0, 1.0, clip.samples.size)
     pred = model.forward(times).data.astype(np.float64)
-    return _safe_metrics(clip.samples, pred, metric_res)
-
-
-def _safe_metrics(x, pred, metric_res) -> dict[str, float]:
-    """All metrics that are defined for this pair; degenerate or too-short
-    signals simply omit the affected entries."""
-    out: dict[str, float] = {}
-    mse, psnr = M.mse_psnr(x, pred)
-    out["mse"], out["psnr"] = mse, psnr
-    for name, fn in (("lsd", lambda: M.lsd(x, pred, metric_res)),
-                     ("sisnr", lambda: M.si_snr(x, pred)),
-                     ("wd", lambda: M.spectral_wasserstein(x, pred))):
-        try:
-            out[name] = fn()
-        except (ContractError, DomainError):
-            pass
-    return out
+    return M.compute_all(clip.samples, pred, metric_res)
 
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:

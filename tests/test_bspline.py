@@ -6,12 +6,9 @@ import pytest
 from audioinr import bspline
 from audioinr.bspline import (
     SplineGrid,
-    basis,
-    basis_grad,
     kan_layer,
     make_grid,
     spline_bases,
-    spline_eval,
 )
 from audioinr.tensor import (
     ContractError,
@@ -25,12 +22,15 @@ from audioinr.tensor import (
 )
 
 
-def naive_bases(grid: SplineGrid, x: np.ndarray) -> np.ndarray:
-    """Textbook Cox-de Boor recursion, one basis at a time."""
+def naive_bases(grid: SplineGrid, x: np.ndarray, degree: int | None = None) -> np.ndarray:
+    """Textbook Cox-de Boor recursion, one basis at a time.
+
+    Returns the grid's n_bases functions of degree ``grid.order``, or all
+    ``knots.size - 1 - degree`` functions of a lower ``degree``.
+    """
     t = grid.knots
-    k = grid.order
-    nb = grid.grid_size + k
-    top = grid.grid_size + k  # index of the knot equal to hi
+    k = grid.order if degree is None else degree
+    top = grid.grid_size + grid.order  # index of the knot equal to hi
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     at_top = x == t[top]
     deg0 = np.zeros((x.size, t.size - 1))
@@ -48,7 +48,40 @@ def naive_bases(grid: SplineGrid, x: np.ndarray) -> np.ndarray:
             right = (t[i + r + 1] - x) / (t[i + r + 1] - t[i + 1]) * cur[:, i + 1]
             nxt[:, i] = left + right
         cur = nxt
-    return cur[:, :nb]
+    return cur
+
+
+def naive_bases_grad(grid: SplineGrid, x: np.ndarray) -> np.ndarray:
+    """dB_{i,k}/dx = k B_{i,k-1} / (t_{i+k} - t_i) - k B_{i+1,k-1} / (t_{i+k+1} - t_{i+1})."""
+    t, k = grid.knots, grid.order
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    if k == 0:
+        return np.zeros((x.size, grid.n_bases))
+    lower = naive_bases(grid, x, k - 1)
+    out = np.zeros((x.size, grid.n_bases))
+    for i in range(grid.n_bases):
+        out[:, i] = (k * lower[:, i] / (t[i + k] - t[i])
+                     - k * lower[:, i + 1] / (t[i + k + 1] - t[i + 1]))
+    return out
+
+
+def basis(grid: SplineGrid, x) -> np.ndarray:
+    """Values of the spline_bases tape op, shape x.shape + (n_bases,)."""
+    return spline_bases(Tensor(np.asarray(x, dtype=np.float64)), grid).data
+
+
+def basis_grad(grid: SplineGrid, x) -> np.ndarray:
+    """dB_i/dx from spline_bases' backward, one backward per basis: the
+    gradient of sum_j B_i(x_j) at x_j is exactly dB_i/dx(x_j)."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.zeros((x.size, grid.n_bases))
+    for i in range(grid.n_bases):
+        xt = Tensor(x.copy(), requires_grad=True)
+        pick = np.zeros((x.size, grid.n_bases))
+        pick[:, i] = 1.0
+        backward((spline_bases(xt, grid) * Tensor(pick)).sum())
+        out[:, i] = xt.grad
+    return out
 
 
 @pytest.mark.parametrize("grid_size", [1, 2, 3, 5, 8])
@@ -124,18 +157,21 @@ def test_grad_sums_to_zero(rng):
 
 
 def test_spline_eval_is_dot_product(rng):
+    # a one-input, one-output KAN layer with no SiLU branch is the spline
     g = make_grid(7, 2)
     coeffs = rng.standard_normal(g.grid_size + g.order)
     x = rng.uniform(-1.0, 1.0, 64)
     want = basis(g, x) @ coeffs
-    np.testing.assert_allclose(spline_eval(g, coeffs, x), want, atol=1e-14)
+    got = kan_layer(Tensor(x[:, None]), Tensor(np.zeros((1, 1))), None,
+                    Tensor(coeffs[None, None, :]), g).data[:, 0]
+    np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 def test_spline_eval_constant(rng):
     g = make_grid(5, 3)
     x = rng.uniform(-1.0, 1.0, 64)
     ones = np.ones(g.grid_size + g.order)
-    np.testing.assert_allclose(spline_eval(g, ones, x), 1.0, atol=1e-12)
+    np.testing.assert_allclose(basis(g, x) @ ones, 1.0, atol=1e-12)
 
 
 def test_make_grid_validation():
@@ -151,8 +187,9 @@ def test_tape_op_forward_matches(rng):
     g = make_grid(6, 2)
     xs = rng.uniform(-1.0, 1.0, (5, 8))
     t = Tensor(xs)
-    np.testing.assert_array_equal(spline_bases(t, g).data,
-                                  basis(g, xs.reshape(-1)).reshape(5, 8, -1))
+    got = spline_bases(t, g).data
+    np.testing.assert_array_equal(got, basis(g, xs.reshape(-1)).reshape(5, 8, -1))
+    np.testing.assert_allclose(got.reshape(40, -1), naive_bases(g, xs), atol=1e-12)
 
 
 def test_tape_op_gradient(rng):
@@ -162,7 +199,7 @@ def test_tape_op_gradient(rng):
     w = rng.standard_normal((40, g.grid_size + g.order))
     loss = (spline_bases(t, g) * Tensor(w)).sum()
     backward(loss)
-    want = (w * basis_grad(g, xs)).sum(axis=1)
+    want = (w * naive_bases_grad(g, xs)).sum(axis=1)
     np.testing.assert_allclose(t.grad, want, atol=1e-12)
 
 

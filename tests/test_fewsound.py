@@ -18,8 +18,8 @@ from audioinr.fewsound import (
     predict_update,
     reconstruct_long,
     state_flatten,
+    state_from_vector,
     state_param_count,
-    state_unflatten,
     window_plan,
 )
 from audioinr.inr import InrConfig, build, flatten_params, forward_from_flat, param_count
@@ -97,12 +97,11 @@ def test_hyper_output_layer_starts_at_zero():
 
 
 def test_state_unflatten_roundtrip(rng):
-    state = build_state(tiny_config())
     vec = rng.standard_normal(state_param_count(tiny_config()))
-    state_unflatten(state, vec)
+    state = state_from_vector(tiny_config(), vec)
     np.testing.assert_array_equal(state_flatten(state), vec)
     with pytest.raises(ShapeError):
-        state_unflatten(state, vec[:-1])
+        state_from_vector(tiny_config(), vec[:-1])
 
 
 # -- the three mappings ------------------------------------------------------------

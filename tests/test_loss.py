@@ -1,4 +1,4 @@
-"""Spectral loss stack: windows, DFT, mel filterbank, combined objective."""
+"""Spectral loss stack: windows, STFT, mel filterbank, combined objective."""
 
 import math
 
@@ -10,17 +10,16 @@ from audioinr.loss import (
     LOG_EPS,
     MelFilterbank,
     StftResolution,
-    combined_loss,
-    dft_matrices,
     hann_window,
     hz_to_mel,
     make_combined_loss,
     make_mel_filterbank,
     mel_project,
     mel_to_hz,
-    mr_mel_stft_loss,
     stft_mag,
 )
+from audioinr import loss as loss_mod
+from audioinr import tensor as T
 from audioinr.tensor import (
     ContractError,
     ShapeError,
@@ -60,16 +59,12 @@ def naive_dft_mag(x: np.ndarray) -> np.ndarray:
 
 def test_dft_matrices_against_naive_loop(rng):
     n = 32
-    c, s = dft_matrices(n)
-    assert c.shape == (n, n // 2 + 1) and s.shape == (n, n // 2 + 1)
     x = rng.standard_normal(n)
-    mag = np.hypot(x @ c, x @ s)
-    np.testing.assert_allclose(mag, naive_dft_mag(x), atol=1e-10)
-    np.testing.assert_allclose(mag, np.abs(np.fft.rfft(x)), atol=1e-10)
-
-
-def test_dft_matrices_cached():
-    assert dft_matrices(64)[0] is dft_matrices(64)[0]
+    mag = stft_mag(Tensor(x), StftResolution(n, n, n)).data
+    assert mag.shape == (1, n // 2 + 1)
+    xw = x * hann_window(n)
+    np.testing.assert_allclose(mag[0], naive_dft_mag(xw), atol=1e-10)
+    np.testing.assert_allclose(mag[0], np.abs(np.fft.rfft(xw)), atol=1e-10)
 
 
 def test_loss_constants_cached_per_dtype(rng):
@@ -83,14 +78,12 @@ def test_loss_constants_cached_per_dtype(rng):
             assert got.dtype == dt
             assert got.tobytes() == first.setdefault(dt, got).tobytes()
     for dt in (np.float32, np.float64):
-        consts = [*dft_matrices(512, dt), make_mel_filterbank(16, 22050, 512, dtype=dt).matrix]
-        refs = [*dft_matrices(512), make_mel_filterbank(16, 22050, 512).matrix]
-        for c, ref in zip(consts, refs):
-            assert c.dtype == dt
-            np.testing.assert_array_equal(c, ref.astype(dt))
-            with pytest.raises(ValueError):
-                c[0, 0] = 0.5
-        assert dft_matrices(512, dt)[0] is consts[0]
+        c = make_mel_filterbank(16, 22050, 512, dtype=dt).matrix
+        assert c.dtype == dt
+        np.testing.assert_array_equal(c, make_mel_filterbank(16, 22050, 512).matrix.astype(dt))
+        with pytest.raises(ValueError):
+            c[0, 0] = 0.5
+        assert make_mel_filterbank(16, 22050, 512, dtype=dt).matrix is c
 
 
 # -- stft ----------------------------------------------------------------------
@@ -213,10 +206,15 @@ def test_mel_project_matches_numpy(rng):
 # -- losses --------------------------------------------------------------------
 
 
+def spectral(x, xh, resolutions=FAST) -> float:
+    """The combined loss with the L1 term off."""
+    return make_combined_loss(x, lam_t=0.0, resolutions=resolutions,
+                              n_mels=8)(Tensor(xh)).item()
+
+
 def test_spectral_loss_zero_on_identical(rng):
     x = rng.standard_normal(128)
-    loss = mr_mel_stft_loss(Tensor(x), Tensor(x.copy()), FAST, n_mels=8)
-    assert loss.item() == 0.0
+    assert spectral(x, x.copy()) == 0.0
 
 
 def test_spectral_loss_matches_hand_formula(rng):
@@ -233,42 +231,37 @@ def test_spectral_loss_matches_hand_formula(rng):
     mx, mh = mel(x), mel(xh)
     sc = np.linalg.norm(mx - mh) / np.linalg.norm(mx)
     log_l1 = np.abs(np.log(mx + LOG_EPS) - np.log(mh + LOG_EPS)).mean()
-    got = mr_mel_stft_loss(Tensor(x), Tensor(xh), FAST, n_mels=8).item()
-    np.testing.assert_allclose(got, sc + log_l1, rtol=1e-10)
+    np.testing.assert_allclose(spectral(x, xh), sc + log_l1, rtol=1e-10)
 
 
 def test_spectral_loss_averages_resolutions(rng):
     x, xh = rng.standard_normal(256), rng.standard_normal(256)
     r1 = (StftResolution(64, 16, 64),)
     r2 = (StftResolution(128, 32, 128),)
-    both = r1 + r2
-    a = mr_mel_stft_loss(Tensor(x), Tensor(xh), r1, n_mels=8).item()
-    b = mr_mel_stft_loss(Tensor(x), Tensor(xh), r2, n_mels=8).item()
-    ab = mr_mel_stft_loss(Tensor(x), Tensor(xh), both, n_mels=8).item()
+    a = spectral(x, xh, r1)
+    b = spectral(x, xh, r2)
+    ab = spectral(x, xh, r1 + r2)
     np.testing.assert_allclose(ab, (a + b) / 2.0, rtol=1e-12)
 
 
 def test_spectral_loss_shape_mismatch(rng):
     with pytest.raises(ShapeError):
-        mr_mel_stft_loss(Tensor(np.zeros(128)), Tensor(np.zeros(127)), FAST)
+        make_combined_loss(np.zeros(128), lam_t=0.0, resolutions=FAST)(Tensor(np.zeros(127)))
 
 
 def test_combined_loss_weights(rng):
     x, xh = rng.standard_normal(128), rng.standard_normal(128)
     l1 = np.abs(x - xh).mean()
-    t_only = combined_loss(Tensor(x), Tensor(xh), lam_t=2.0, lam_f=0.0,
-                           resolutions=FAST, n_mels=8)
-    np.testing.assert_allclose(t_only.item(), 2.0 * l1, rtol=1e-12)
-    spec = mr_mel_stft_loss(Tensor(x), Tensor(xh), FAST, n_mels=8).item()
-    both = combined_loss(Tensor(x), Tensor(xh), lam_t=1.0, lam_f=0.5,
-                         resolutions=FAST, n_mels=8)
-    np.testing.assert_allclose(both.item(), l1 + 0.5 * spec, rtol=1e-12)
+    t_only = make_combined_loss(x, lam_t=2.0, lam_f=0.0, resolutions=FAST, n_mels=8)
+    np.testing.assert_allclose(t_only(Tensor(xh)).item(), 2.0 * l1, rtol=1e-12)
+    both = make_combined_loss(x, lam_t=1.0, lam_f=0.5, resolutions=FAST, n_mels=8)
+    np.testing.assert_allclose(both(Tensor(xh)).item(), l1 + 0.5 * spectral(x, xh),
+                               rtol=1e-12)
 
 
 def test_combined_loss_rejects_negative_weights():
-    x = Tensor(np.zeros(128))
     with pytest.raises(ContractError):
-        combined_loss(x, x, lam_t=-1.0)
+        make_combined_loss(np.zeros(128), lam_t=-1.0)
     with pytest.raises(ContractError):
         make_combined_loss(np.zeros(128), lam_f=-0.5)
 
@@ -276,19 +269,116 @@ def test_combined_loss_rejects_negative_weights():
 def test_combined_loss_gradient(rng):
     x = rng.standard_normal(96)
     xh = Tensor(rng.standard_normal(96), requires_grad=True)
-
-    def f(p):
-        return combined_loss(Tensor(x), p, resolutions=FAST, n_mels=8)
-
-    assert grad_check(f, [xh], n_samples=40, seed=2) < 1e-5
+    fn = make_combined_loss(x, resolutions=FAST, n_mels=8)
+    assert grad_check(fn, [xh], n_samples=40, seed=2) < 1e-5
 
 
-def test_loss_closure_matches_direct(rng):
-    x, xh = rng.standard_normal(128), rng.standard_normal(128)
-    fn = make_combined_loss(x, lam_t=1.0, lam_f=1.0, resolutions=FAST, n_mels=8)
-    direct = combined_loss(Tensor(x), Tensor(xh), lam_t=1.0, lam_f=1.0,
-                           resolutions=FAST, n_mels=8)
-    np.testing.assert_allclose(fn(Tensor(xh)).item(), direct.item(), rtol=1e-12)
+def _chain_stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
+    """The STFT as a tape chain of framing, a window multiply and two
+    matmuls against cos/-sin DFT matrices, then sqrt(re^2 + im^2).  The
+    matrices keep only the window's rows: zero padding meets the rest."""
+    n_frames = (signal.size - res.window_size) // res.hop_size + 1
+    idx = res.hop_size * np.arange(n_frames)[:, None] + np.arange(res.window_size)
+
+    def frame_bwd(g):
+        T._accum(signal, np.bincount(idx.ravel(), weights=g.ravel(), minlength=signal.size))
+
+    frames = T._node(signal.data[idx], (signal,), frame_bwd)
+    wf = frames * Tensor(hann_window(res.window_size))
+    ang = (2.0 * math.pi / res.fft_size) * np.outer(np.arange(res.window_size),
+                                                    np.arange(res.bins))
+    re = T.matmul(wf, Tensor(np.cos(ang)))
+    im = T.matmul(wf, Tensor(-np.sin(ang)))
+    return (re.square() + im.square()).sqrt()
+
+
+def test_combined_loss_matches_dft_matrix_chain(rng, monkeypatch):
+    n = 4096
+    target = 0.3 * rng.standard_normal(n)
+    pred = 0.3 * rng.standard_normal(n)
+    resolutions = DEFAULT_RESOLUTIONS + (StftResolution(512, 96, 400),)
+    got = {}
+    for name in ("op", "chain"):
+        if name == "chain":
+            monkeypatch.setattr(loss_mod, "stft_mag", _chain_stft_mag)
+        xh = Tensor(pred.copy(), requires_grad=True)
+        loss = make_combined_loss(target, resolutions=resolutions)(xh)
+        backward(loss)
+        got[name] = (loss.item(), xh.grad)
+    (lo, go), (lc, gc) = got["op"], got["chain"]
+    np.testing.assert_allclose(lo, lc, rtol=1e-12)
+    assert np.abs(go - gc).max() <= 1e-10 * np.abs(gc).max()
+
+
+def _dft_oracle(x: np.ndarray, res: StftResolution):
+    """Windowed frames and explicit cos/-sin matrices of the window's rows."""
+    n_frames = (x.size - res.window_size) // res.hop_size + 1
+    win = hann_window(res.window_size)
+    frames = np.stack([x[f * res.hop_size: f * res.hop_size + res.window_size] * win
+                       for f in range(n_frames)])
+    ang = np.zeros((res.window_size, res.bins))
+    for t in range(res.window_size):
+        for k in range(res.bins):
+            ang[t, k] = 2.0 * math.pi * ((t * k) % res.fft_size) / res.fft_size
+    return frames, np.cos(ang), -np.sin(ang), win
+
+
+@pytest.mark.parametrize("res", [StftResolution(64, 16, 40), StftResolution(63, 12, 40),
+                                 StftResolution(32, 8, 32)])
+def test_stft_mag_matches_dft_matrix_oracle(res, rng):
+    x = rng.standard_normal(200)
+    frames, c, s, win = _dft_oracle(x, res)
+    re, im = frames @ c, frames @ s
+    mag = np.hypot(re, im)
+    w = rng.standard_normal(mag.shape)
+    xt = Tensor(x, requires_grad=True)
+    out = stft_mag(xt, res)
+    np.testing.assert_allclose(out.data, mag, rtol=1e-10)
+    backward((out * Tensor(w)).sum())
+    # d/dframe of sum(w * |X|) is (w re/|X|) C^T + (w im/|X|) S^T, then the
+    # window, then each frame's samples add back at their offsets
+    gf = ((w * re / mag) @ c.T + (w * im / mag) @ s.T) * win
+    want = np.zeros_like(x)
+    for f in range(gf.shape[0]):
+        want[f * res.hop_size: f * res.hop_size + res.window_size] += gf[f]
+    np.testing.assert_allclose(xt.grad, want, rtol=1e-10)
+
+
+def test_stft_mag_grad_check(rng):
+    res = StftResolution(64, 16, 32)
+    x = Tensor(rng.standard_normal(112), requires_grad=True)
+    w = Tensor(rng.standard_normal(stft_mag(x, res).shape))
+    assert grad_check(lambda xt: (stft_mag(xt, res) * w).sum(), [x]) < 1e-6
+
+
+@pytest.mark.parametrize("res", DEFAULT_RESOLUTIONS + (StftResolution(64, 16, 32),))
+def test_stft_mag_float32_gradients(res, rng):
+    x = rng.standard_normal(4096).astype(np.float32)
+    w = rng.standard_normal(stft_mag(Tensor(x), res).shape).astype(np.float32)
+    grads = {}
+    for dt in (np.float32, np.float64):
+        xt = Tensor(x.astype(dt), requires_grad=True)
+        out = stft_mag(xt, res)
+        assert out.data.dtype == dt
+        backward((out * Tensor(w.astype(dt))).sum())
+        assert xt.grad.dtype == dt
+        grads[dt] = xt.grad
+    ref = grads[np.float64]
+    assert np.abs(grads[np.float32] - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_combined_loss_holds_one_stft_node_per_resolution(rng):
+    n = 4096
+    fn = make_combined_loss(rng.standard_normal(n), n_mels=16)
+    pred = Tensor(rng.standard_normal(n), requires_grad=True)
+    nodes = T._reachable(fn(pred))
+    bins = {r.bins for r in DEFAULT_RESOLUTIONS}
+    spectra = sorted(nd.shape for nd in nodes if nd.data.ndim == 2 and nd.shape[1] in bins)
+    want = sorted(((n - r.window_size) // r.hop_size + 1, r.bins) for r in DEFAULT_RESOLUTIONS)
+    assert spectra == want
+    # the prediction feeds the L1 difference and one stft_mag per resolution
+    users = [nd for nd in nodes if any(p is pred for p in nd._parents)]
+    assert len(users) == 1 + len(DEFAULT_RESOLUTIONS)
 
 
 def test_loss_closure_gradient_flows(rng):

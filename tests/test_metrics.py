@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from audioinr.loss import StftResolution
+from audioinr.loss import StftResolution, hann_window
 from audioinr.metrics import (
-    ABSENT_METRICS,
     DEFAULT_METRIC_RES,
+    LSD_EPS,
     METRIC_COLUMNS,
     MetricsReport,
     PSNR_SENTINEL,
@@ -109,6 +109,23 @@ def test_lsd_short_signal_rejected():
         lsd(np.zeros(100), np.zeros(100), RES)
 
 
+@pytest.mark.parametrize("res", [RES, DEFAULT_METRIC_RES, StftResolution(256, 48, 200)])
+def test_lsd_bitwise_equals_numpy_formula(res, rng):
+    x = rng.standard_normal(4000)
+    xhat = x + 0.1 * rng.standard_normal(4000)
+
+    def mag(sig):
+        n_frames = (sig.size - res.window_size) // res.hop_size + 1
+        idx = res.hop_size * np.arange(n_frames)[:, None] + np.arange(res.window_size)
+        return np.abs(np.fft.rfft(sig[idx] * hann_window(res.window_size),
+                                  n=res.fft_size, axis=1))
+
+    px = np.log10(mag(x) ** 2 + LSD_EPS)
+    ph = np.log10(mag(xhat) ** 2 + LSD_EPS)
+    want = float(np.mean(np.sqrt(np.mean((px - ph) ** 2, axis=1))))
+    assert np.array_equal(lsd(x, xhat, res), want)
+
+
 # -- wasserstein -----------------------------------------------------------------
 
 
@@ -198,8 +215,16 @@ def test_compute_all_matches_parts(rng):
     assert got["wd"] == spectral_wasserstein(x, xhat)
 
 
-def test_absent_metrics_not_reported():
-    assert not set(ABSENT_METRICS) & set(METRIC_COLUMNS)
+def test_compute_all_omits_undefined_metrics(rng):
+    # silence has no SI-SNR and no spectral distribution
+    got = compute_all(np.zeros(512), np.zeros(512), RES)
+    assert set(got) == {"mse", "psnr", "lsd"}
+    assert got["mse"] == 0.0 and got["psnr"] == PSNR_SENTINEL and got["lsd"] == 0.0
+    # a pair shorter than one frame has no LSD
+    x = rng.standard_normal(100)
+    assert set(compute_all(x, 0.5 * x, RES)) == {"mse", "psnr", "sisnr", "wd"}
+    with pytest.raises(ShapeError):
+        compute_all(np.zeros(4), np.zeros(5), RES)
 
 
 # -- spectrogram export ------------------------------------------------------------

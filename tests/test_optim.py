@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from audioinr import optim
-from audioinr.optim import AdamW, OneCycleSchedule, adamw_step, one_cycle_lr
+from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError, Tensor
 
 
@@ -171,14 +171,6 @@ def test_optimizer_validation():
     p.grad = np.array([np.nan])
     with pytest.raises(ContractError):
         opt.step()
-
-
-def test_adamw_step_alias():
-    p = leaf([1.0])
-    opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
-    p.grad = np.array([1.0])
-    adamw_step(opt)
-    assert p.data[0] != 1.0
 
 
 # -- one-cycle schedule ----------------------------------------------------------

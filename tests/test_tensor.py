@@ -406,32 +406,6 @@ def test_expand_last_pad_last(rng):
     backward(f())
     np.testing.assert_allclose(a.grad, num_grad(f, a), atol=1e-7)
 
-    p = T.pad_last(a, 6)
-    assert p.shape == (2, 6)
-    np.testing.assert_array_equal(p.data[:, 3:], 0.0)
-
-    def g():
-        return (T.pad_last(a, 6).square()).sum()
-
-    backward(g())
-    np.testing.assert_allclose(a.grad, num_grad(g, a), atol=1e-6)
-
-
-def test_frame_signal_values_and_grad(rng):
-    x = leaf(rng.standard_normal(16))
-    frames = T.frame_signal(x, window=6, hop=4)
-    # starts at 0 and advances by hop
-    for i, s in enumerate(range(0, 16 - 6 + 1, 4)):
-        np.testing.assert_array_equal(frames.data[i], x.data[s:s + 6])
-
-    def f():
-        return T.frame_signal(x, 6, 4).square().sum()
-
-    backward(f())
-    np.testing.assert_allclose(x.grad, num_grad(f, x), atol=1e-6)
-    with pytest.raises(ContractError):
-        T.frame_signal(leaf(np.ones(3)), 6, 4)
-
 
 def test_conv1d_matches_direct_correlation(rng):
     x = leaf(rng.standard_normal((2, 11)))

@@ -26,7 +26,7 @@ FAST = (StftResolution(64, 16, 64),)
 
 
 def quick_config(**over):
-    kw = dict(steps=5, lam_f=0.0, seed=0)
+    kw = dict(steps=5, lam_f=0.0)
     kw.update(over)
     return TrainConfig(**kw)
 
