@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .tensor import Tensor, ContractError, ShapeError, _node, _accum, _as_tensor
+from .tensor import Tensor, ContractError, ShapeError, _node, _accum_fresh, _as_tensor
 
 # dense basis entries per row block of kan_layer: 512 KiB in float64,
 # small enough for the block buffer to stay in cache
@@ -143,7 +143,7 @@ def spline_bases(x: Tensor, grid: SplineGrid) -> Tensor:
             acc = gflat[idx] * dband[0]
             for p in range(1, grid.order + 1):
                 acc += gflat[idx + p] * dband[p]
-            _accum(x, acc.reshape(shp))
+            _accum_fresh(x, acc.reshape(shp))
 
     return _node(bases, (x,), bwd)
 
@@ -204,7 +204,7 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
 
     def bwd(g):
         if w_b.requires_grad:
-            _accum(w_b, g.T @ (xd * sig))
+            _accum_fresh(w_b, g.T @ (xd * sig))
         if x.requires_grad:
             dx = (g @ w_b.data) * (sig * (1.0 + xd * (1.0 - sig)))
         need_eff = coeffs.requires_grad or (w_s is not None and w_s.requires_grad)
@@ -221,14 +221,14 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
                     acc += gflat[idx + p] * dband[p]
                 dx[s:e] += acc.reshape(e - s, d_in) * mask[s:e]
         if x.requires_grad:
-            _accum(x, dx)
+            _accum_fresh(x, dx)
         if need_eff:
             d_eff = d_eff.reshape(eff.shape)
             if w_s is None:
-                _accum(coeffs, d_eff)
+                _accum_fresh(coeffs, d_eff)
             else:
-                _accum(w_s, (d_eff * coeffs.data).sum(axis=-1))
-                _accum(coeffs, d_eff * w_s.data[..., None])
+                _accum_fresh(w_s, (d_eff * coeffs.data).sum(axis=-1))
+                _accum_fresh(coeffs, d_eff * w_s.data[..., None])
 
     parents = (x, w_b, coeffs) if w_s is None else (x, w_b, w_s, coeffs)
     return _node(out, parents, bwd)

@@ -61,6 +61,8 @@ class FewSoundConfig:
             raise ContractError("encoder_channels and hyper_hidden must be non-empty")
         if self.lr is None:
             self.lr = 1e-6 if self.target.arch == "siren" else 1e-5
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be positive and finite, got {self.lr}")
         if self.window % (2 ** len(self.encoder_channels)) != 0:
             raise ContractError(
                 f"window {self.window} must be divisible by "

@@ -77,8 +77,9 @@ class InrConfig:
         if self.rff_features < 1:
             raise ContractError(f"rff_features must be >= 1, got {self.rff_features}")
         for name in ("rff_sigma", "omega0", "s0", "finer_bias_bound"):
-            if getattr(self, name) <= 0:
-                raise ContractError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ContractError(f"{name} must be positive and finite, got {v}")
         if self.grid_size < 1 or self.spline_order < 0:
             raise ContractError("grid_size must be >= 1 and spline_order >= 0")
 
@@ -193,18 +194,12 @@ def _init_param(config, name, shape, layer_idx, n_layers, rng) -> np.ndarray:
 
 
 def _pe_consts(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row of frequencies and phases turning one matmul + sin into
-    interleaved [sin(2^l pi t), cos(2^l pi t)] pairs (cos x = sin(x + pi/2))."""
+    """Row of frequencies and phases giving gamma(t): interleaved
+    [sin(2^l pi t), cos(2^l pi t)] pairs (cos x = sin(x + pi/2))."""
     octaves = math.pi * np.exp2(np.arange(length, dtype=np.float64))
     freq = np.repeat(octaves, 2)[None, :]
     phase = np.tile([0.0, math.pi / 2.0], length)
     return freq, phase
-
-
-def positional_encoding(times: np.ndarray, length: int) -> np.ndarray:
-    """Numpy reference: gamma(t), shape (n, 2*length); starts [0,1,0,1,...] at t=0."""
-    freq, phase = _pe_consts(length)
-    return np.sin(np.asarray(times, dtype=np.float64)[:, None] * freq[0] + phase)
 
 
 def _rff_consts(b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,6 +208,14 @@ def _rff_consts(b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     freq = 2.0 * math.pi * np.concatenate([b_vec, b_vec])[None, :]
     phase = np.concatenate([np.full(m, math.pi / 2.0), np.zeros(m)])
     return freq, phase
+
+
+def _sin_features(t2: Tensor, freq: np.ndarray, phase: np.ndarray) -> Tensor:
+    """sin(t freq + phase) for times t2 (n, 1) and a (1, m) frequency row:
+    a linear node with freq as its (m, 1) weight and phase as its bias,
+    then sin, in t2's dtype."""
+    dt = t2.data.dtype
+    return T.linear(t2, Tensor(freq.T.astype(dt)), Tensor(phase.astype(dt))).sin()
 
 
 def forward(model: InrModel, times) -> Tensor:
@@ -227,21 +230,16 @@ def forward(model: InrModel, times) -> Tensor:
 def _forward_with(cfg: InrConfig, plist: list[Tensor], t: Tensor, embedding: dict) -> Tensor:
     n = t.size
     t2 = T.reshape(t.clamp(-1.0, 1.0), (n, 1))
-    dt = t.data.dtype
 
     if cfg.arch == "kan":
-        return _kan_forward(cfg, plist, t2, dt)
+        return _kan_forward(cfg, plist, t2)
     if cfg.arch == "wire":
         return _wire_forward(cfg, plist, t2)
 
     if cfg.arch == "nerf":
-        freq, phase = _pe_consts(cfg.encoding_length)
-        x = T.ew_binary("add", T.matmul(t2, Tensor(freq.astype(dt))),
-                        Tensor(phase.astype(dt))).sin()
+        x = _sin_features(t2, *_pe_consts(cfg.encoding_length))
     elif cfg.arch == "rff":
-        freq, phase = _rff_consts(embedding["rff_b"])
-        x = T.ew_binary("add", T.matmul(t2, Tensor(freq.astype(dt))),
-                        Tensor(phase.astype(dt))).sin()
+        x = _sin_features(t2, *_rff_consts(embedding["rff_b"]))
     else:
         x = t2
 
@@ -259,11 +257,9 @@ def _forward_with(cfg: InrConfig, plist: list[Tensor], t: Tensor, embedding: dic
     return T.reshape(x, (n,))
 
 
-def _kan_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor, dt) -> Tensor:
+def _kan_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor) -> Tensor:
     n = t2.shape[0]
-    freq, phase = _pe_consts(cfg.encoding_length)
-    x = T.ew_binary("add", T.matmul(t2, Tensor(freq.astype(dt))),
-                    Tensor(phase.astype(dt))).sin()
+    x = _sin_features(t2, *_pe_consts(cfg.encoding_length))
     grid = make_grid(cfg.grid_size, cfg.spline_order)
     per_layer = 3 if cfg.scale_spline else 2
     for i in range(0, len(plist), per_layer):

@@ -161,7 +161,7 @@ def mel_project(mag: Tensor, fb: MelFilterbank) -> Tensor:
     if mag.data.ndim != 2 or mag.shape[1] != fb.matrix.shape[1]:
         raise ShapeError(f"magnitude shape {mag.shape} does not match "
                          f"{fb.matrix.shape[1]}-bin filterbank")
-    return T.matmul(mag, Tensor(fb.matrix.T.astype(mag.data.dtype, copy=False)))
+    return T.linear(mag, Tensor(fb.matrix.astype(mag.data.dtype, copy=False)))
 
 
 def _mel_mag(signal: Tensor, res: StftResolution, sample_rate: int, n_mels: int) -> Tensor:

@@ -6,9 +6,9 @@ Graphs are rebuilt on every training step and discarded after
 ``backward``.  64-bit floats are the default; call ``set_default_dtype``
 or use the ``default_dtype`` context manager for 32-bit runs.
 
-Broadcasting is deliberately restricted: binary ops accept equal shapes,
-a 0-d scalar on the right, or a 1-D right operand matching the left
-operand's trailing axis (bias-style).  Anything else is a ShapeError.
+There is no broadcasting: binary ops accept equal shapes only, and
+anything else is a ShapeError.  Scalars enter through ``scale`` and
+``shift``; biases through ``linear``, the one matrix product.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeError(ValueError):
@@ -102,9 +101,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         tag = f", name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
@@ -114,29 +110,14 @@ class Tensor:
     def __add__(self, other):
         return ew_binary("add", self, other)
 
-    def __radd__(self, other):
-        return ew_binary("add", _wrap(other, self), self)
-
     def __sub__(self, other):
         return ew_binary("sub", self, other)
-
-    def __rsub__(self, other):
-        return ew_binary("sub", _wrap(other, self), self)
 
     def __mul__(self, other):
         return ew_binary("mul", self, other)
 
-    def __rmul__(self, other):
-        return ew_binary("mul", _wrap(other, self), self)
-
     def __truediv__(self, other):
         return ew_binary("div", self, other)
-
-    def __neg__(self):
-        return ew_unary("negate", self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None):
         return reduce("sum", self, axis)
@@ -146,12 +127,6 @@ class Tensor:
 
     def sin(self):
         return ew_unary("sin", self)
-
-    def cos(self):
-        return ew_unary("cos", self)
-
-    def exp(self):
-        return ew_unary("exp", self)
 
     def log(self):
         return ew_unary("log", self)
@@ -168,9 +143,6 @@ class Tensor:
     def relu(self):
         return ew_unary("relu", self)
 
-    def silu(self):
-        return ew_unary("silu", self)
-
     def scale(self, alpha: float):
         return ew_unary("scale", self, alpha)
 
@@ -183,17 +155,8 @@ class Tensor:
     def reshape(self, shape):
         return reshape(self, shape)
 
-    def transpose(self):
-        return transpose(self)
-
     def backward(self):
         backward(self)
-
-
-def _wrap(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
@@ -203,6 +166,11 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into t's gradient buffer, copying it on the first write.
+
+    For a ``g`` the caller does not own: the upstream gradient itself or a
+    view of it, which other parents may receive too.
+    """
     if t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
@@ -210,42 +178,18 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
-    """Like _accum for a ``g`` no one else holds: the first write keeps it
-    as the gradient buffer (cast to t's dtype), later writes add in place."""
+    """Like _accum for a ``g`` the backward just computed and no one else
+    holds: the first write keeps it as the gradient buffer (cast to t's
+    dtype; a numpy scalar from a 0-d op becomes a 0-d array), later writes
+    add in place."""
     if t.requires_grad:
         if t.grad is None:
-            t.grad = g.astype(t.data.dtype, copy=False)
+            t.grad = np.asarray(g, dtype=t.data.dtype)
         else:
             t.grad += g
 
 
 # -- elementwise and linear-algebra operations ----------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with gradients dA = dC.Bᵀ, dB = Aᵀ.dC."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not chain")
-    out_data = a.data @ b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _node(out_data, (a, b), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
-
-    def bwd(g):
-        _accum(a, g.T)
-
-    return _node(a.data.T, (a,), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -367,11 +311,6 @@ def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:
     x = a.data
     if tag == "sin":
         out, dfn = np.sin(x), lambda g: g * np.cos(x)
-    elif tag == "cos":
-        out, dfn = np.cos(x), lambda g: -g * np.sin(x)
-    elif tag == "exp":
-        out = np.exp(x)
-        dfn = lambda g: g * out
     elif tag == "log":
         if np.any(x <= 0.0):
             raise DomainError("log requires strictly positive inputs")
@@ -388,16 +327,10 @@ def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:
         dfn = lambda g: g * (0.5 / np.maximum(out, _SQRT_EPS))
     elif tag == "relu":
         out, dfn = np.maximum(x, 0.0), lambda g: g * (x > 0.0)
-    elif tag == "silu":
-        sig = expit(x)
-        out = x * sig
-        dfn = lambda g: g * (sig * (1.0 + x * (1.0 - sig)))
-    elif tag == "negate":
-        out, dfn = -x, lambda g: -g
     elif tag == "scale":
         out, dfn = alpha * x, lambda g: alpha * g
     elif tag == "shift":
-        out, dfn = x + alpha, lambda g: g
+        out, dfn = x + alpha, None
     elif tag == "clamp":
         lo, hi = alpha
         out = np.clip(x, lo, hi)
@@ -407,68 +340,45 @@ def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:
         raise ContractError(f"unknown unary tag {tag!r}")
 
     def bwd(g):
-        _accum(a, dfn(g))
+        _pass_grad(a, g, dfn)
 
     return _node(out, (a,), bwd)
 
 
-def _broadcast_mode(a: Tensor, b: Tensor) -> str:
-    if a.shape == b.shape:
-        return "equal"
-    if b.data.ndim == 0:
-        return "scalar"
-    if a.data.ndim == 0:
-        return "scalar_left"
-    if b.data.ndim == 1 and a.data.ndim >= 2 and a.shape[-1] == b.shape[0]:
-        return "trailing"
-    raise ShapeError(f"shapes {a.shape} and {b.shape} are neither equal nor "
-                     "trailing-axis broadcastable")
-
-
-def _reduce_to(g: np.ndarray, mode: str, shape: tuple) -> np.ndarray:
-    if mode == "equal":
-        return g
-    if mode == "scalar":
-        return np.asarray(g.sum())
-    axes = tuple(range(g.ndim - 1))
-    return g.sum(axis=axes)
-
-
 def ew_binary(tag: str, a: Tensor, b: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    b = _wrap(b, a)
-    mode = _broadcast_mode(a, b)
-    amode = "scalar" if mode == "scalar_left" else "equal"
-    bmode = "equal" if mode == "scalar_left" else mode
+    """Elementwise binary op on two tensors of one shape."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"shapes {a.shape} and {b.shape} differ; binary ops take "
+                         "equal shapes (scalars go through scale/shift)")
     x, y = a.data, b.data
     if tag == "add":
-        out = x + y
-        da = lambda g: _reduce_to(g, amode, a.shape)
-        db = lambda g: _reduce_to(g, bmode, b.shape)
+        out, da, db = x + y, None, None
     elif tag == "sub":
-        out = x - y
-        da = lambda g: _reduce_to(g, amode, a.shape)
-        db = lambda g: -_reduce_to(g, bmode, b.shape)
+        out, da, db = x - y, None, lambda g: -g
     elif tag == "mul":
-        out = x * y
-        da = lambda g: _reduce_to(g * y, amode, a.shape)
-        db = lambda g: _reduce_to(g * x, bmode, b.shape)
+        out, da, db = x * y, lambda g: g * y, lambda g: g * x
     elif tag == "div":
         if np.any(y == 0.0):
             raise DomainError("division by zero")
-        out = x / y
-        da = lambda g: _reduce_to(g / y, amode, a.shape)
-        db = lambda g: _reduce_to(-g * x / (y * y), bmode, b.shape)
+        out, da, db = x / y, lambda g: g / y, lambda g: -g * x / (y * y)
     else:
         raise ContractError(f"unknown binary tag {tag!r}")
 
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, da(g))
-        if b.requires_grad:
-            _accum(b, db(g))
+        _pass_grad(a, g, da)
+        _pass_grad(b, g, db)
 
     return _node(out, (a, b), bwd)
+
+
+def _pass_grad(t: Tensor, g: np.ndarray, dfn: Callable | None) -> None:
+    """Hand t the upstream ``g`` as is (``dfn`` None) or the fresh dfn(g)."""
+    if t.requires_grad:
+        if dfn is None:
+            _accum(t, g)
+        else:
+            _accum_fresh(t, dfn(g))
 
 
 def reduce(tag: str, a: Tensor, axis: int | None = None) -> Tensor:
@@ -541,17 +451,6 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
     return _node(a.data[start:start + length], (a,), bwd)
 
 
-def expand_last(a: Tensor, n: int) -> Tensor:
-    """Repeat along a new trailing axis of size n; gradient sums it back."""
-    a = _as_tensor(a)
-    out = np.broadcast_to(a.data[..., None], a.shape + (n,))
-
-    def bwd(g):
-        _accum(a, g.sum(axis=-1))
-
-    return _node(np.ascontiguousarray(out), (a,), bwd)
-
-
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D convolution: x (C_in, T), w (C_out, C_in, K), b (C_out,) -> (C_out, T_out)."""
     x, w = _as_tensor(x), _as_tensor(w)
@@ -579,13 +478,13 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
 
     def bwd(g):
         if b is not None:
-            _accum(b, g.sum(axis=1))
-        _accum(w, (g @ patches.T).reshape(w.shape))
+            _accum_fresh(b, g.sum(axis=1))
+        _accum_fresh(w, (g @ patches.T).reshape(w.shape))
         if x.requires_grad:
             dpatches = w2.T @ g                                            # (c_in*k, t_out)
             flat = np.bincount(idx.ravel(), weights=dpatches.ravel(), minlength=c_in * t_pad)
-            dxp = flat.reshape(c_in, t_pad).astype(x.data.dtype, copy=False)
-            _accum(x, dxp[:, padding:padding + t] if padding else dxp)
+            dxp = flat.reshape(c_in, t_pad)
+            _accum_fresh(x, dxp[:, padding:padding + t] if padding else dxp)
 
     parents = (x, w) if b is None else (x, w, b)
     return _node(out, parents, bwd)

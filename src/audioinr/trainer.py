@@ -9,6 +9,7 @@ per-architecture mean and standard deviation of each metric.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,8 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ContractError(f"steps must be >= 1, got {self.steps}")
-        if self.lr is not None and self.lr <= 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be positive and finite, got {self.lr}")
         if self.precision not in ("float32", "float64"):
             raise ContractError(f"precision must be float32 or float64, "
                                 f"got {self.precision!r}")

@@ -84,18 +84,23 @@ def wav_read(path) -> AudioClip:
     codec, channels, rate, _, _, bits, fmt_off = fmt
     if channels not in (1, 2):
         raise WavError(f"offset {fmt_off}: {channels} channels unsupported (want 1 or 2)")
+    if rate == 0:
+        raise WavError(f"offset {fmt_off}: sample rate is 0")
 
     body, body_off = data
     if codec == 1 and bits == 16:
-        raw = np.frombuffer(body, dtype="<i2").astype(np.float64) / PCM_SCALE
+        dtype, scale = "<i2", PCM_SCALE
     elif codec == 3 and bits == 32:
-        raw = np.frombuffer(body, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise WavError(f"offset {fmt_off}: unsupported codec (format {codec}, "
                        f"{bits}-bit); want PCM-16 or IEEE float-32")
+    frame = channels * bits // 8
+    if len(body) % frame:
+        raise WavError(f"offset {body_off}: data chunk of {len(body)} bytes is not a "
+                       f"whole number of {frame}-byte sample frames")
+    raw = np.frombuffer(body, dtype=dtype).astype(np.float64) / scale
     if channels == 2:
-        if raw.size % 2:
-            raise WavError(f"offset {body_off}: odd sample count for stereo data")
         raw = raw.reshape(-1, 2).mean(axis=1)
     return AudioClip(rate, raw, source_id=os.path.basename(os.fspath(path)))
 

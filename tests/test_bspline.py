@@ -15,11 +15,9 @@ from audioinr.tensor import (
     ShapeError,
     Tensor,
     backward,
-    expand_last,
-    matmul,
     reshape,
-    transpose,
 )
+from unfused_ops import transpose, unfused_kan_layer
 
 
 def naive_bases(grid: SplineGrid, x: np.ndarray, degree: int | None = None) -> np.ndarray:
@@ -211,18 +209,6 @@ def test_tape_op_constant_input(rng):
 
 
 # -- fused KAN layer -----------------------------------------------------------
-
-
-def unfused_kan_layer(x, w_b, w_s, coeffs, grid):
-    """The per-layer graph kan_layer replaces, built from separate tape ops."""
-    n, d_in = x.shape
-    d_out, nb = w_b.shape[0], grid.n_bases
-    eff = coeffs if w_s is None else expand_last(w_s, nb) * coeffs
-    base = matmul(x.silu(), transpose(w_b))
-    bases = spline_bases(x.clamp(grid.lo, grid.hi), grid)
-    flat_b = reshape(bases, (n, d_in * nb))
-    flat_e = reshape(eff, (d_out, d_in * nb))
-    return base + matmul(flat_b, transpose(flat_e))
 
 
 KAN_D_IN, KAN_D_OUT, KAN_GRID = 4, 3, 5

@@ -1,5 +1,7 @@
 """Hypernetwork meta-trainer: state layout, adaptation, windowed reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from audioinr.loss import StftResolution, make_combined_loss
 from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError
 from audioinr.toydata import sine_mixture
-from test_tensor import unfused_linear
+from unfused_ops import unfused_linear
 
 FAST = (StftResolution(32, 8, 32),)
 
@@ -54,6 +56,9 @@ def test_config_validation():
         tiny_config(encoder_channels=())
     with pytest.raises(ContractError):
         tiny_config(embed_dim=0)
+    for lr in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(ContractError, match="lr"):
+            tiny_config(lr=lr)
 
 
 def test_config_default_lr_per_target():

@@ -16,7 +16,6 @@ from audioinr.inr import (
     layer_dims,
     param_count,
     param_shapes,
-    positional_encoding,
     unflatten_params,
 )
 from audioinr import tensor as T
@@ -29,8 +28,8 @@ from audioinr.tensor import (
     backward,
     grad_check,
 )
-from test_bspline import unfused_kan_layer
-from test_tensor import unfused_linear
+from unfused_ops import (unfused_kan_layer, unfused_linear, unfused_sin_features,
+                         unfused_wire_forward)
 
 SMALL = dict(hidden=(6, 5), encoding_length=3, rff_features=4,
              grid_size=4, spline_order=2, seed=7)
@@ -43,6 +42,12 @@ def small(arch, **over):
 
 
 # -- encodings -----------------------------------------------------------------
+
+
+def positional_encoding(times, length):
+    """gamma(t) as the networks compute it, shape (n, 2*length)."""
+    t2 = Tensor(np.asarray(times, dtype=np.float64)[:, None])
+    return inr._sin_features(t2, *inr._pe_consts(length)).data
 
 
 def test_positional_encoding_at_zero():
@@ -59,6 +64,46 @@ def test_positional_encoding_interleaves_octaves(rng):
         np.testing.assert_allclose(pe[:, 2 * j], np.sin(arg), atol=1e-15)
         np.testing.assert_allclose(pe[:, 2 * j + 1], np.sin(arg + math.pi / 2.0),
                                    atol=1e-15)
+
+
+@pytest.mark.parametrize("arch", ["nerf", "rff", "kan"])
+def test_input_features_are_two_nodes(arch):
+    # sin <- linear(t2, frequency row, phase): one node fewer than the
+    # matmul + bias add + sin chain
+    model = build(small(arch))
+    n = 32
+    out = model.forward(Tensor(np.linspace(-1.0, 1.0, n), requires_grad=True))
+    first = next(nd for nd in _reachable(out) if any(p is model.params[0] for p in nd._parents))
+    feats = first._parents[0]
+    assert len(feats._parents) == 1
+    lin = feats._parents[0]
+    t2, freq, phase = lin._parents
+    assert t2.shape == (n, 1) and freq.shape == (input_dim(model.config), 1)
+    assert not freq._parents and not phase._parents
+    np.testing.assert_array_equal(feats.data, np.sin(lin.data))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("arch", ["nerf", "rff", "kan"])
+def test_sin_features_bitwise_equal_to_unfused_chain(arch, dtype, monkeypatch, rng):
+    n = 2048
+    with T.default_dtype(dtype):
+        model = build(InrConfig(arch))
+        times = np.linspace(-1.0, 1.0, n).astype(dtype)
+        loss_fn = make_combined_loss(0.3 * rng.standard_normal(n))
+
+        def loss_and_grads():
+            loss = loss_fn(model.forward(times))
+            grads = backward(loss, leaves=model.params)
+            return loss.data, [grads[id(p)].copy() for p in model.params]
+
+        got_loss, got_grads = loss_and_grads()
+        monkeypatch.setattr(inr, "_sin_features", unfused_sin_features)
+        want_loss, want_grads = loss_and_grads()
+    assert got_loss.dtype == dtype
+    np.testing.assert_array_equal(got_loss, want_loss)
+    for got, want in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_rff_encoding_cosines_first(rng):
@@ -150,6 +195,13 @@ def test_config_validation():
         InrConfig("rff", rff_sigma=0.0)
     with pytest.raises(ContractError):
         InrConfig("kan", spline_order=-1)
+
+
+@pytest.mark.parametrize("field", ["omega0", "s0", "rff_sigma", "finer_bias_bound"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_config_rejects_non_finite_scales(field, value):
+    with pytest.raises(ContractError, match=field):
+        InrConfig("siren", **{field: value})
 
 
 # -- initialization ------------------------------------------------------------
@@ -357,25 +409,6 @@ def test_fused_dense_layers_match_unfused_graph(arch, monkeypatch, rng):
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in zip(got_grads, want_grads):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def unfused_wire_forward(cfg, plist, t2):
-    """Oracle for WIRE's Gabor layers: the linear / square / scale / exp /
-    cos / sin / mul chain, one (real, imaginary) pair of tensors per layer."""
-    om, s0 = cfg.omega0, cfg.s0
-    re, im = t2, None
-    for i in range(0, len(plist) - 2, 2):
-        w, b = plist[i], plist[i + 1]
-        z_re = T.linear(re, w, b)
-        z_im = T.linear(im, w) if im is not None else None
-        if z_im is None:
-            expo = z_re.square().scale(-s0 * s0)
-        else:
-            expo = z_im.scale(-om) + (z_re.square() + z_im.square()).scale(-s0 * s0)
-        mag = expo.exp()
-        ang = z_re.scale(om)
-        re, im = mag * ang.cos(), mag * ang.sin()
-    return T.reshape(T.linear(re, plist[-2], plist[-1]), (t2.shape[0],))
 
 
 def test_wire_gabor_layers_match_unfused_graph(monkeypatch, rng):

@@ -28,6 +28,7 @@ from audioinr.tensor import (
     default_dtype,
     grad_check,
 )
+from unfused_ops import chain_stft_mag, matmul
 
 FAST = (StftResolution(64, 16, 64),)
 
@@ -203,6 +204,25 @@ def test_mel_project_matches_numpy(rng):
         mel_project(Tensor(np.zeros((5, 20))), fb)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mel_project_bitwise_equal_to_matmul_graph(dtype, rng):
+    # the linear node makes the same product, forward and backward, as a
+    # matmul against the transposed filterbank
+    fb = make_mel_filterbank(16, 22050, 256, dtype=dtype)
+    mag = rng.uniform(0.0, 2.0, (40, 129)).astype(dtype)
+    up = rng.standard_normal((40, 16)).astype(dtype)
+    got = {}
+    for name, project in (("linear", mel_project),
+                          ("matmul", lambda m, f: matmul(m, Tensor(f.matrix.T)))):
+        x = Tensor(mag.copy(), requires_grad=True)
+        out = project(x, fb)
+        backward((out * Tensor(up)).sum())
+        got[name] = (out.data, x.grad)
+    for a, b in zip(got["linear"], got["matmul"]):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+
+
 # -- losses --------------------------------------------------------------------
 
 
@@ -273,25 +293,6 @@ def test_combined_loss_gradient(rng):
     assert grad_check(fn, [xh], n_samples=40, seed=2) < 1e-5
 
 
-def _chain_stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
-    """The STFT as a tape chain of framing, a window multiply and two
-    matmuls against cos/-sin DFT matrices, then sqrt(re^2 + im^2).  The
-    matrices keep only the window's rows: zero padding meets the rest."""
-    n_frames = (signal.size - res.window_size) // res.hop_size + 1
-    idx = res.hop_size * np.arange(n_frames)[:, None] + np.arange(res.window_size)
-
-    def frame_bwd(g):
-        T._accum(signal, np.bincount(idx.ravel(), weights=g.ravel(), minlength=signal.size))
-
-    frames = T._node(signal.data[idx], (signal,), frame_bwd)
-    wf = frames * Tensor(hann_window(res.window_size))
-    ang = (2.0 * math.pi / res.fft_size) * np.outer(np.arange(res.window_size),
-                                                    np.arange(res.bins))
-    re = T.matmul(wf, Tensor(np.cos(ang)))
-    im = T.matmul(wf, Tensor(-np.sin(ang)))
-    return (re.square() + im.square()).sqrt()
-
-
 def test_combined_loss_matches_dft_matrix_chain(rng, monkeypatch):
     n = 4096
     target = 0.3 * rng.standard_normal(n)
@@ -300,7 +301,7 @@ def test_combined_loss_matches_dft_matrix_chain(rng, monkeypatch):
     got = {}
     for name in ("op", "chain"):
         if name == "chain":
-            monkeypatch.setattr(loss_mod, "stft_mag", _chain_stft_mag)
+            monkeypatch.setattr(loss_mod, "stft_mag", chain_stft_mag)
         xh = Tensor(pred.copy(), requires_grad=True)
         loss = make_combined_loss(target, resolutions=resolutions)(xh)
         backward(loss)
@@ -373,7 +374,9 @@ def test_combined_loss_holds_one_stft_node_per_resolution(rng):
     pred = Tensor(rng.standard_normal(n), requires_grad=True)
     nodes = T._reachable(fn(pred))
     bins = {r.bins for r in DEFAULT_RESOLUTIONS}
-    spectra = sorted(nd.shape for nd in nodes if nd.data.ndim == 2 and nd.shape[1] in bins)
+    # nodes with parents only: the constant (n_mels, bins) filterbank is a leaf
+    spectra = sorted(nd.shape for nd in nodes
+                     if nd._parents and nd.data.ndim == 2 and nd.shape[1] in bins)
     want = sorted(((n - r.window_size) // r.hop_size + 1, r.bins) for r in DEFAULT_RESOLUTIONS)
     assert spectra == want
     # the prediction feeds the L1 difference and one stft_mag per resolution

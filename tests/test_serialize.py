@@ -1,6 +1,7 @@
 """Binary model files: layout arithmetic, roundtrips, corruption detection."""
 
 import glob
+import math
 import os
 import stat
 import struct
@@ -225,7 +226,9 @@ def test_rejects_trailing_junk(tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [("grid_size", 0), ("hidden", ()),
-                                         ("omega0", -1.0)])
+                                         ("omega0", -1.0), ("omega0", math.nan),
+                                         ("s0", math.inf), ("rff_sigma", -math.inf),
+                                         ("finer_bias_bound", math.nan)])
 def test_rejects_invalid_network_config(field, value, tmp_path):
     # the CRC is valid; the stored values are ones InrConfig refuses
     model = build(InrConfig("siren", **TINY_TARGET))
@@ -238,7 +241,8 @@ def test_rejects_invalid_network_config(field, value, tmp_path):
 
 
 @pytest.mark.parametrize("field,value", [("window", 8), ("window", 66),
-                                         ("embed_dim", 0)])
+                                         ("embed_dim", 0), ("lr", math.nan),
+                                         ("lr", math.inf)])
 def test_rejects_invalid_meta_config(field, value, tmp_path):
     state = build_state(tiny_meta_config())
     setattr(state.config, field, value)

@@ -1,5 +1,7 @@
 """Single-clip fitting loop, trace analysis, and the comparison harness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,9 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ContractError):
         TrainConfig(precision="float16")
+    for lr in (math.nan, math.inf, -math.inf, -1e-3):
+        with pytest.raises(ContractError, match="lr"):
+            TrainConfig(lr=lr)
 
 
 def test_resolve_lr_defaults():

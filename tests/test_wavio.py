@@ -166,6 +166,35 @@ def test_read_rejects_missing_chunks_and_codecs(tmp_path):
         wav_read(path)
 
 
+def _wav_bytes(fmt, body):
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+@pytest.mark.parametrize("codec,channels,bits,size", [
+    (1, 1, 16, 3),            # PCM-16 mono: 2-byte frames
+    (1, 2, 16, 6),            # PCM-16 stereo: 4-byte frames
+    (3, 1, 32, 6),            # float-32 mono: 4-byte frames
+])
+def test_read_rejects_partial_sample_frame(tmp_path, codec, channels, bits, size):
+    frame = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", codec, channels, 8000, 8000 * frame, frame, bits)
+    path = tmp_path / "partial.wav"
+    path.write_bytes(_wav_bytes(fmt, b"\x01" * size))
+    # the data body starts after the RIFF header, the fmt chunk and the data tag
+    with pytest.raises(WavError, match=f"offset {12 + 8 + len(fmt) + 8}: .* {frame}-byte"):
+        wav_read(path)
+
+
+def test_read_rejects_zero_sample_rate(tmp_path):
+    fmt = struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)
+    path = tmp_path / "norate.wav"
+    path.write_bytes(_wav_bytes(fmt, b"\x00\x00" * 4))
+    with pytest.raises(WavError, match="offset 12: sample rate is 0"):
+        wav_read(path)
+
+
 # -- resampler ---------------------------------------------------------------------
 
 

@@ -1,0 +1,163 @@
+"""Unfused tape ops and the layer graphs built from them: oracles for the fused ops.
+
+The package's tape holds only what its networks run: ``linear`` as the
+one matrix product, elementwise ops on equal shapes, and one node per
+layer.  The graphs those fused ops replaced need a few more ops (a bare
+matrix product, a transpose, a bias add that broadcasts over rows, a
+trailing repeat, and the exp, cos and SiLU activations).  They live here,
+built on ``tensor._node`` and ``tensor._accum``, so the tests can rebuild
+each fused op out of separate nodes and compare.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import expit
+
+from audioinr import tensor as T
+from audioinr.bspline import spline_bases
+from audioinr.loss import StftResolution, hann_window
+from audioinr.tensor import ShapeError, Tensor, _accum, _as_tensor, _node
+
+# -- ops ------------------------------------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product with gradients dA = dC.Bᵀ, dB = Aᵀ.dC."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not chain")
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
+
+    return _node(a.data @ b.data, (a, b), bwd)
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise ShapeError(f"transpose needs a 2-D tensor, got shape {a.shape}")
+
+    def bwd(g):
+        _accum(a, g.T)
+
+    return _node(a.data.T, (a,), bwd)
+
+
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x + b with a 1-D b along x's trailing axis; b's gradient sums the rows."""
+    x, b = _as_tensor(x), _as_tensor(b)
+    if b.data.ndim != 1 or x.data.ndim < 2 or x.shape[-1] != b.shape[0]:
+        raise ShapeError(f"bias {b.shape} does not fit the trailing axis of {x.shape}")
+
+    def bwd(g):
+        _accum(x, g)
+        _accum(b, g.sum(axis=tuple(range(g.ndim - 1))))
+
+    return _node(x.data + b.data, (x, b), bwd)
+
+
+def expand_last(a: Tensor, n: int) -> Tensor:
+    """Repeat along a new trailing axis of size n; gradient sums it back."""
+    a = _as_tensor(a)
+    out = np.broadcast_to(a.data[..., None], a.shape + (n,))
+
+    def bwd(g):
+        _accum(a, g.sum(axis=-1))
+
+    return _node(np.ascontiguousarray(out), (a,), bwd)
+
+
+def _unary(a: Tensor, out: np.ndarray, dfn) -> Tensor:
+    a = _as_tensor(a)
+
+    def bwd(g):
+        _accum(a, dfn(g))
+
+    return _node(out, (a,), bwd)
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _unary(a, out, lambda g: g * out)
+
+
+def cos(a: Tensor) -> Tensor:
+    x = a.data
+    return _unary(a, np.cos(x), lambda g: -g * np.sin(x))
+
+
+def silu(a: Tensor) -> Tensor:
+    x = a.data
+    sig = expit(x)
+    return _unary(a, x * sig, lambda g: g * (sig * (1.0 + x * (1.0 - sig))))
+
+
+UNARY = {"exp": exp, "cos": cos, "silu": silu}
+
+# -- unfused layer graphs ---------------------------------------------------------
+
+
+def unfused_linear(x, w, b=None):
+    """Oracle for T.linear: the matmul / transpose / bias-add graph it replaces."""
+    out = matmul(x, transpose(w))
+    return out if b is None else add_bias(out, b)
+
+
+def unfused_sin_features(t2, freq, phase):
+    """Oracle for inr._sin_features: sin(t2 @ freq + phase) as three nodes."""
+    dt = t2.data.dtype
+    return add_bias(matmul(t2, Tensor(freq.astype(dt))), Tensor(phase.astype(dt))).sin()
+
+
+def unfused_kan_layer(x, w_b, w_s, coeffs, grid):
+    """The per-layer graph kan_layer replaces, built from separate tape ops."""
+    n, d_in = x.shape
+    d_out, nb = w_b.shape[0], grid.n_bases
+    eff = coeffs if w_s is None else expand_last(w_s, nb) * coeffs
+    base = matmul(silu(x), transpose(w_b))
+    bases = spline_bases(x.clamp(grid.lo, grid.hi), grid)
+    flat_b = T.reshape(bases, (n, d_in * nb))
+    flat_e = T.reshape(eff, (d_out, d_in * nb))
+    return base + matmul(flat_b, transpose(flat_e))
+
+
+def unfused_wire_forward(cfg, plist, t2):
+    """Oracle for WIRE's Gabor layers: the linear / square / scale / exp /
+    cos / sin / mul chain, one (real, imaginary) pair of tensors per layer."""
+    om, s0 = cfg.omega0, cfg.s0
+    re, im = t2, None
+    for i in range(0, len(plist) - 2, 2):
+        w, b = plist[i], plist[i + 1]
+        z_re = T.linear(re, w, b)
+        z_im = T.linear(im, w) if im is not None else None
+        if z_im is None:
+            expo = z_re.square().scale(-s0 * s0)
+        else:
+            expo = z_im.scale(-om) + (z_re.square() + z_im.square()).scale(-s0 * s0)
+        mag = exp(expo)
+        ang = z_re.scale(om)
+        re, im = mag * cos(ang), mag * ang.sin()
+    return T.reshape(T.linear(re, plist[-2], plist[-1]), (t2.shape[0],))
+
+
+def chain_stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
+    """The STFT as a tape chain of framing, a window multiply and two
+    matmuls against cos/-sin DFT matrices, then sqrt(re^2 + im^2).  The
+    matrices keep only the window's rows: zero padding meets the rest."""
+    n_frames = (signal.size - res.window_size) // res.hop_size + 1
+    idx = res.hop_size * np.arange(n_frames)[:, None] + np.arange(res.window_size)
+
+    def frame_bwd(g):
+        _accum(signal, np.bincount(idx.ravel(), weights=g.ravel(), minlength=signal.size))
+
+    frames = _node(signal.data[idx], (signal,), frame_bwd)
+    wf = frames * Tensor(np.broadcast_to(hann_window(res.window_size), frames.shape))
+    ang = (2.0 * math.pi / res.fft_size) * np.outer(np.arange(res.window_size),
+                                                    np.arange(res.bins))
+    re = matmul(wf, Tensor(np.cos(ang)))
+    im = matmul(wf, Tensor(-np.sin(ang)))
+    return (re.square() + im.square()).sqrt()
