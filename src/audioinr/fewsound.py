@@ -14,7 +14,11 @@ the adapted network is exactly the universal one.
 
 Arbitrary-length audio is reconstructed window by window (50% overlap,
 final window right-aligned) and blended with a half-sample-offset Hann
-crossfade normalized to sum to one at every sample.
+crossfade normalized to sum to one at every sample: each window's weight
+is the crossfade divided by a 1-D per-sample sum of all crossfades, so
+no (windows x samples) matrix is built.  Windows render without a tape
+(``tensor.no_grad``), so memory holds the model, the output, the
+normalizer and one window's working set.
 """
 
 from __future__ import annotations
@@ -63,6 +67,10 @@ class FewSoundConfig:
             self.lr = 1e-6 if self.target.arch == "siren" else 1e-5
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ContractError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("lam_t", "lam_f"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ContractError(f"{name} must be finite and >= 0, got {v}")
         if self.window % (2 ** len(self.encoder_channels)) != 0:
             raise ContractError(
                 f"window {self.window} must be divisible by "
@@ -360,18 +368,17 @@ def window_plan(n: int, window: int) -> list[int]:
 
 
 def overlap_add_weights(n: int, window: int) -> tuple[list[int], np.ndarray]:
-    """(starts, rows): rows[i] holds window i's per-sample crossfade
-    weight after normalization, over a span of max(n, window) samples
-    (longer than n only when the signal is padded to one window).  The
-    rows sum to exactly one at every sample."""
+    """(starts, norm): norm is the per-sample sum of the windows'
+    crossfades over a span of max(n, window) samples (longer than n only
+    when the signal is padded to one window), added in window order.
+    Window i's normalized weight is crossfade_window(window) /
+    norm[s_i:s_i + window]; these sum to one at every sample."""
     starts = window_plan(n, window)
-    span = max(n, window)
     w = crossfade_window(window)
-    rows = np.zeros((len(starts), span))
-    for i, s in enumerate(starts):
-        rows[i, s:s + window] = w
-    rows /= rows.sum(axis=0, keepdims=True)
-    return starts, rows
+    norm = np.zeros(max(n, window))
+    for s in starts:
+        norm[s:s + window] += w
+    return starts, norm
 
 
 def reconstruct_long(state: FewSoundState | None, clip,
@@ -381,8 +388,9 @@ def reconstruct_long(state: FewSoundState | None, clip,
 
     ``render_fn`` maps one window of true samples to its rendering; by
     default each window is adapted and rendered with the meta-trained
-    state.  Output length equals input length; short inputs are padded
-    to one window and trimmed afterwards.
+    state, without a tape.  Output length equals input length; short
+    inputs are padded to one window and trimmed afterwards.  Besides the
+    output, memory holds one window's working set and the 1-D normalizer.
     """
     x = np.asarray(getattr(clip, "samples", clip), dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
@@ -395,18 +403,22 @@ def reconstruct_long(state: FewSoundState | None, clip,
         if state is None:
             raise ContractError("either a trained state or a render_fn is required")
         times = np.linspace(-1.0, 1.0, window)
-        e_t = encode_weights(state)
+        with T.no_grad():
+            e_t = encode_weights(state)
 
         def render_fn(seg: np.ndarray) -> np.ndarray:
-            return adapt(state, seg, e_t).forward(times).data.astype(np.float64)
+            with T.no_grad():
+                return adapt(state, seg, e_t).forward(times).data.astype(np.float64)
 
     n = x.size
-    starts, rows = overlap_add_weights(n, window)
-    padded = np.pad(x, (0, max(0, window - n)))
-    out = np.zeros(rows.shape[1])
-    for s, row in zip(starts, rows):
-        y = np.asarray(render_fn(padded[s:s + window]), dtype=np.float64)
+    starts, norm = overlap_add_weights(n, window)
+    if n < window:
+        x = np.pad(x, (0, window - n))
+    fade = crossfade_window(window)
+    out = np.zeros(norm.size)
+    for s in starts:
+        y = np.asarray(render_fn(x[s:s + window]), dtype=np.float64)
         if y.shape != (window,):
             raise ShapeError(f"render_fn returned shape {y.shape}, want ({window},)")
-        out[s:s + window] += y * row[s:s + window]
+        out[s:s + window] += y * (fade / norm[s:s + window])
     return out[:n]

@@ -287,7 +287,10 @@ def flatten_params(model: InrModel) -> np.ndarray:
 
 
 def unflatten_params(config: InrConfig, vector: np.ndarray) -> InrModel:
-    """Inverse of flatten: rebuild a model (frozen state comes from config.seed)."""
+    """Inverse of flatten: rebuild a model (frozen state comes from config.seed).
+
+    Parameters are views of ``vector`` when it has the default dtype,
+    cast copies otherwise."""
     vector = np.asarray(vector)
     expected = param_count(config)
     if vector.ndim != 1 or vector.size != expected:
@@ -298,7 +301,7 @@ def unflatten_params(config: InrConfig, vector: np.ndarray) -> InrModel:
     off = 0
     for name, shape in param_shapes(config):
         k = int(np.prod(shape))
-        params.append(Tensor(vector[off:off + k].reshape(shape).astype(dt),
+        params.append(Tensor(vector[off:off + k].reshape(shape).astype(dt, copy=False),
                              requires_grad=True, name=name))
         off += k
     return InrModel(config, params, frozen_embedding(config))

@@ -30,6 +30,14 @@ Frozen state (e.g. the random-feature projection) is reproduced from the
 stored seed rather than serialized.  Writes go to a temp file in the
 destination directory and are renamed into place, so a crashed run never
 leaves a file that passes its CRC.
+
+Both directions stream, so neither holds the file as one bytes object.
+save_model writes the header, then each parameter's float64 bytes in
+flatten order, with a running CRC.  load_model parses the header field by
+field, checks the payload count against the config and the file size
+before it allocates, then reads the payload straight into one float64
+array in fixed-size chunks, with a running CRC.  A file whose CRC fails
+reports the CRC mismatch, whatever else is wrong with it.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ import os
 import struct
 import tempfile
 import zlib
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -56,8 +66,13 @@ KIND_INR = 1
 KIND_FEWSOUND = 2
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via temp file + rename so readers never see partial content."""
+_CHUNK = 1 << 20        # bytes per read while streaming a payload
+
+
+@contextmanager
+def _atomic_file(path):
+    """Binary file that replaces ``path`` (temp file + rename) when the
+    block exits cleanly and is removed when it raises."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
@@ -67,7 +82,7 @@ def atomic_write_bytes(path, data: bytes) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,24 +90,64 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write via temp file + rename so readers never see partial content."""
+    with _atomic_file(path) as f:
+        f.write(data)
+
+
 class _Reader:
-    """Cursor over a memoryview; take() returns views, never copies."""
+    """Reads a model file's body (all but the 4-byte trailer) in order,
+    never past its end, with a running CRC32 over every byte read."""
 
-    def __init__(self, buf: memoryview):
-        self.buf = buf
+    def __init__(self, f, size: int):
+        self.f = f
+        self.end = size - 4
         self.off = 0
+        self.crc = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.off + n > len(self.buf):
+    def _need(self, n: int) -> None:
+        if self.off + n > self.end:
             raise SerializationError(
                 f"file truncated at offset {self.off}: needed {n} more bytes, "
-                f"have {len(self.buf) - self.off}")
-        out = self.buf[self.off: self.off + n]
-        self.off += n
+                f"have {self.end - self.off}")
+
+    def _fill(self, buf: memoryview) -> None:
+        if self.f.readinto(buf) != len(buf):
+            raise SerializationError(f"file shrank while being read, at offset {self.off}")
+        self.crc = zlib.crc32(buf, self.crc)
+        self.off += len(buf)
+
+    def take(self, n: int) -> bytearray:
+        self._need(n)
+        out = bytearray(n)
+        self._fill(memoryview(out))
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
+
+    def take_floats(self, count: int) -> np.ndarray:
+        """``count`` float64 values, read into one array _CHUNK bytes at a
+        time; the size is checked before anything is allocated."""
+        self._need(8 * count)
+        out = np.empty(count, dtype="<f8")
+        buf = memoryview(out).cast("B")
+        for a in range(0, len(buf), _CHUNK):
+            self._fill(buf[a:a + _CHUNK])
+        return out
+
+    def check_crc(self) -> None:
+        """Read the rest of the body and compare its CRC with the trailer."""
+        buf = memoryview(bytearray(min(_CHUNK, self.end - self.off)))
+        while self.off < self.end:
+            self._fill(buf[:self.end - self.off])
+        computed = self.crc
+        self.end += 4                   # the trailer follows the body
+        (stored,) = self.unpack("I")
+        if stored != computed:
+            raise SerializationError(f"CRC mismatch: stored {stored:#010x}, "
+                                     f"computed {computed:#010x}")
 
 
 def pack_inr_config(cfg: InrConfig) -> bytes:
@@ -156,58 +211,64 @@ def _unpack_fewsound_config(r: _Reader):
             f"invalid meta-trainer config at offset {start}: {e}") from e
 
 
-def _payload(vec: np.ndarray) -> bytes:
-    vec = np.ascontiguousarray(vec, dtype="<f8")
-    return struct.pack("<Q", vec.size) + vec.tobytes()
-
-
 def save_model(path, obj) -> None:
     """Serialize an InrModel or meta-trainer state with a CRC trailer."""
-    from .fewsound import FewSoundState, state_flatten
+    from .fewsound import FewSoundState
     if isinstance(obj, InrModel):
-        body = bytes([KIND_INR]) + pack_inr_config(obj.config) \
-            + _payload(inr.flatten_params(obj))
+        kind, config, params = KIND_INR, pack_inr_config(obj.config), obj.params
     elif isinstance(obj, FewSoundState):
-        body = bytes([KIND_FEWSOUND]) + _pack_fewsound_config(obj.config) \
-            + _payload(state_flatten(obj))
+        kind, config = KIND_FEWSOUND, _pack_fewsound_config(obj.config)
+        params = [p for _, p in obj.named_params()]
     else:
         raise SerializationError(f"cannot serialize object of type {type(obj).__name__}")
-    blob = MAGIC + bytes([VERSION]) + body
-    atomic_write_bytes(path, blob + struct.pack("<I", zlib.crc32(blob)))
+    head = MAGIC + bytes([VERSION, kind]) + config \
+        + struct.pack("<Q", sum(p.data.size for p in params))
+    with _atomic_file(path) as f:
+        f.write(head)
+        crc = zlib.crc32(head)
+        for p in params:
+            values = np.ascontiguousarray(p.data.ravel(), dtype="<f8")
+            f.write(values)
+            crc = zlib.crc32(values, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def load_model(path):
     """Load a file written by save_model; returns an InrModel or meta state."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(MAGIC) + 2 + 4:
-        raise SerializationError(f"file too short ({len(blob)} bytes) to be a model file")
-    body, (crc,) = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])
-    actual = zlib.crc32(body)
-    if actual != crc:
-        raise SerializationError(f"CRC mismatch: stored {crc:#010x}, computed {actual:#010x}")
+        size = os.fstat(f.fileno()).st_size
+        if size < len(MAGIC) + 2 + 4:
+            raise SerializationError(f"file too short ({size} bytes) to be a model file")
+        r = _Reader(f, size)
+        try:
+            make, vec = _read_body(r)
+        except SerializationError:
+            r.check_crc()
+            raise
+        r.check_crc()
+    return make(vec)
 
-    r = _Reader(body)
+
+def _read_body(r: _Reader):
+    """(constructor, payload) from a body whose CRC is checked afterwards."""
     if r.take(len(MAGIC)) != MAGIC:
         raise SerializationError("bad magic at offset 0")
     (version, kind) = r.unpack("BB")
     if version != VERSION:
         raise SerializationError(f"unsupported format version {version} at offset 5")
-
     if kind == KIND_INR:
         cfg = unpack_inr_config(r)
-        vec = _read_payload(r, inr.param_count(cfg))
-        if r.off != len(body):
-            raise SerializationError(f"{len(body) - r.off} trailing bytes at offset {r.off}")
-        return inr.unflatten_params(cfg, vec)
-    if kind == KIND_FEWSOUND:
+        make, count = partial(inr.unflatten_params, cfg), inr.param_count(cfg)
+    elif kind == KIND_FEWSOUND:
         from .fewsound import state_from_vector, state_param_count
         cfg = _unpack_fewsound_config(r)
-        vec = _read_payload(r, state_param_count(cfg))
-        if r.off != len(body):
-            raise SerializationError(f"{len(body) - r.off} trailing bytes at offset {r.off}")
-        return state_from_vector(cfg, vec)
-    raise SerializationError(f"unknown kind byte {kind} at offset 6")
+        make, count = partial(state_from_vector, cfg), state_param_count(cfg)
+    else:
+        raise SerializationError(f"unknown kind byte {kind} at offset 6")
+    vec = _read_payload(r, count)
+    if r.off != r.end:
+        raise SerializationError(f"{r.end - r.off} trailing bytes at offset {r.off}")
+    return make, vec
 
 
 def _read_payload(r: _Reader, expected: int) -> np.ndarray:
@@ -215,5 +276,4 @@ def _read_payload(r: _Reader, expected: int) -> np.ndarray:
     if count != expected:
         raise SerializationError(f"payload declares {count} parameters, "
                                  f"config implies {expected}")
-    raw = r.take(8 * count)
-    return np.frombuffer(raw, dtype="<f8").copy()
+    return r.take_floats(count)

@@ -3,8 +3,11 @@
 A tape-style engine on top of numpy: every operation that touches a
 gradient-tracking tensor records its parents and a backward closure.
 Graphs are rebuilt on every training step and discarded after
-``backward``.  64-bit floats are the default; call ``set_default_dtype``
-or use the ``default_dtype`` context manager for 32-bit runs.
+``backward``.  Inside the ``no_grad`` context manager operations record
+nothing, so a render that is never differentiated frees each
+intermediate value as soon as the next operation has consumed it.
+64-bit floats are the default; call ``set_default_dtype`` or use the
+``default_dtype`` context manager for 32-bit runs.
 
 There is no broadcasting: binary ops accept equal shapes only, and
 anything else is a ShapeError.  Scalars enter through ``scale`` and
@@ -33,6 +36,7 @@ class ContractError(ValueError):
 
 
 _DEFAULT_DTYPE = np.float64
+_GRAD_ENABLED = True
 _ids = itertools.count()
 
 # guard used when differentiating sqrt/magnitude at zero
@@ -61,6 +65,19 @@ def default_dtype(dtype):
         yield
     finally:
         set_default_dtype(prev)
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: every result has no parents and
+    requires_grad=False.  Nests; the previous state returns on exit."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
 
 
 class Tensor:
@@ -160,7 +177,7 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=bwd)
     return Tensor(data)
 

@@ -49,6 +49,10 @@ class TrainConfig:
         if self.precision not in ("float32", "float64"):
             raise ContractError(f"precision must be float32 or float64, "
                                 f"got {self.precision!r}")
+        for name in ("lam_t", "lam_f", "weight_decay"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ContractError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -87,7 +91,8 @@ def fit_inr(clip: AudioClip, inr_config: InrConfig, train_config: TrainConfig) -
             T.backward(loss, leaves=model.params)
             opt.step()
             trace[step] = float(loss.data)
-        pred = model.forward(times).data.astype(np.float64)
+        with T.no_grad():
+            pred = model.forward(times).data.astype(np.float64)
     return FitResult(model, trace, M.compute_all(x, pred, train_config.metric_res),
                      time.monotonic() - started)
 
@@ -98,7 +103,8 @@ def evaluate(model: InrModel, clip: AudioClip,
     if clip.samples.size == 0:
         raise ContractError("empty clip")
     times = np.linspace(-1.0, 1.0, clip.samples.size)
-    pred = model.forward(times).data.astype(np.float64)
+    with T.no_grad():
+        pred = model.forward(times).data.astype(np.float64)
     return M.compute_all(clip.samples, pred, metric_res)
 
 

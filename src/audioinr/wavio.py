@@ -100,6 +100,8 @@ def wav_read(path) -> AudioClip:
         raise WavError(f"offset {body_off}: data chunk of {len(body)} bytes is not a "
                        f"whole number of {frame}-byte sample frames")
     raw = np.frombuffer(body, dtype=dtype).astype(np.float64) / scale
+    if not np.all(np.isfinite(raw)):
+        raise WavError(f"offset {body_off}: data chunk holds non-finite samples")
     if channels == 2:
         raw = raw.reshape(-1, 2).mean(axis=1)
     return AudioClip(rate, raw, source_id=os.path.basename(os.fspath(path)))

@@ -2,8 +2,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from audioinr import set_default_dtype
+
+# Fuzz tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and its run time bounded.
+settings.register_profile("audioinr", derandomize=True, deadline=None, max_examples=150,
+                          database=None)
+settings.load_profile("audioinr")
 
 
 @pytest.fixture(autouse=True)

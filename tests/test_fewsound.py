@@ -1,6 +1,7 @@
 """Hypernetwork meta-trainer: state layout, adaptation, windowed reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ def test_config_validation():
     for lr in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
         with pytest.raises(ContractError, match="lr"):
             tiny_config(lr=lr)
+    for name in ("lam_t", "lam_f"):
+        for v in (math.nan, math.inf, -1.0):
+            with pytest.raises(ContractError, match=name):
+                tiny_config(**{name: v})
 
 
 def test_config_default_lr_per_target():
@@ -311,10 +316,65 @@ def test_window_plan_layout():
 
 @pytest.mark.parametrize("n", [1, 40, 64, 96, 150, 256])
 def test_overlap_weights_sum_to_one(n):
-    starts, rows = overlap_add_weights(n, 64)
+    starts, norm = overlap_add_weights(n, 64)
     assert starts == window_plan(n, 64)
-    assert rows.shape == (len(starts), max(n, 64))
-    np.testing.assert_allclose(rows.sum(axis=0), 1.0, atol=1e-12)
+    assert norm.shape == (max(n, 64),)
+    total = np.zeros(norm.size)
+    for s in starts:
+        total[s:s + 64] += crossfade_window(64) / norm[s:s + 64]
+    np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+
+def dense_overlap_add(x, render_fn, window):
+    """Reference: every window's normalized weight as a row of one dense
+    (windows x samples) matrix, as reconstruct_long once built it."""
+    starts = window_plan(x.size, window)
+    span = max(x.size, window)
+    rows = np.zeros((len(starts), span))
+    for i, s in enumerate(starts):
+        rows[i, s:s + window] = crossfade_window(window)
+    rows /= rows.sum(axis=0, keepdims=True)
+    padded = np.pad(x, (0, span - x.size))
+    out = np.zeros(span)
+    for s, row in zip(starts, rows):
+        out[s:s + window] += render_fn(padded[s:s + window]) * row[s:s + window]
+    return out[:x.size]
+
+
+@pytest.mark.parametrize("n", [1, 40, 64, 96, 150, 256, 1000])
+def test_reconstruct_matches_dense_weights(n, rng):
+    x = rng.standard_normal(n)
+    assert np.array_equal(reconstruct_long(None, x, render_fn=lambda seg: seg, window=64),
+                          dense_overlap_add(x, lambda seg: seg, 64))
+
+
+def test_reconstruct_without_tape_matches_taped_render(rng):
+    state = build_state(tiny_config())
+    for _, p in state.named_params():
+        p.data = 0.1 * rng.standard_normal(p.data.shape)
+    x = rng.uniform(-0.5, 0.5, 300)
+    times = np.linspace(-1.0, 1.0, state.config.window)
+
+    def taped(seg):
+        y = adapt(state, seg).forward(times)
+        assert y.requires_grad
+        return y.data.astype(np.float64)
+
+    assert np.array_equal(reconstruct_long(state, x), dense_overlap_add(x, taped, 64))
+
+
+def test_reconstruct_memory_is_output_plus_one_window():
+    # ten minutes at 22.05 kHz: the old dense weights would take 6.5 GB
+    n, window = 600 * 22050, 32768
+    x = np.random.Generator(np.random.PCG64(5)).standard_normal(n)
+    tracemalloc.start()
+    try:
+        out = reconstruct_long(None, x, render_fn=lambda seg: seg, window=window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
+    np.testing.assert_allclose(out, x, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 40, 64, 96, 150, 256])

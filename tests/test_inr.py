@@ -301,6 +301,17 @@ def test_flatten_unflatten_roundtrip(arch, rng):
     np.testing.assert_array_equal(model.forward(t).data, again.forward(t).data)
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+def test_forward_without_tape_matches_taped(arch, rng):
+    model = build(small(arch))
+    t = rng.uniform(-1.0, 1.0, 33)
+    taped = model.forward(t)
+    with T.no_grad():
+        bare = model.forward(t)
+    assert taped.requires_grad and not bare.requires_grad and bare._parents == ()
+    np.testing.assert_array_equal(bare.data, taped.data)
+
+
 def test_unflatten_size_check():
     cfg = small("siren")
     with pytest.raises(ShapeError):

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,10 +17,15 @@ from audioinr.fewsound import FewSoundConfig, build_state, state_flatten
 from audioinr.inr import ARCHS, InrConfig, build, flatten_params, param_count
 from audioinr.tensor import ContractError
 from audioinr.serialize import (
+    KIND_FEWSOUND,
+    KIND_INR,
     MAGIC,
+    VERSION,
     SerializationError,
+    _pack_fewsound_config,
     atomic_write_bytes,
     load_model,
+    pack_inr_config,
     save_model,
 )
 
@@ -134,6 +140,62 @@ def test_meta_config_block_starts_with_window_and_sample_rate(tmp_path):
     assert load_model(path).config.sample_rate == 12345
 
 
+def whole_blob(obj) -> bytes:
+    """Reference writer: the whole file built as one bytes object."""
+    if isinstance(obj, fewsound.FewSoundState):
+        kind, config, vec = KIND_FEWSOUND, _pack_fewsound_config(obj.config), state_flatten(obj)
+    else:
+        kind, config, vec = KIND_INR, pack_inr_config(obj.config), flatten_params(obj)
+    vec = np.ascontiguousarray(vec, dtype="<f8")
+    blob = MAGIC + bytes([VERSION, kind]) + config + struct.pack("<Q", vec.size) + vec.tobytes()
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_streamed_file_equals_whole_blob(precision, tmp_path, rng):
+    with T.default_dtype(precision):
+        objs = [build(InrConfig(arch, **TINY_TARGET)) for arch in ARCHS]
+        objs.append(build_state(tiny_meta_config()))
+    for i, obj in enumerate(objs):
+        for _, p in obj.named_params():
+            p.data = rng.standard_normal(p.data.shape).astype(precision)
+        path = tmp_path / f"{i}.bin"
+        save_model(path, obj)
+        assert path.read_bytes() == whole_blob(obj)
+
+
+def _meta_state_5mb():
+    """A meta-trainer state of about 5 MB, nearly all in two matrices."""
+    cfg = tiny_meta_config()
+    cfg.target = InrConfig("siren", hidden=(32, 32), seed=3)
+    cfg.weight_enc_hidden = 256
+    cfg.hyper_hidden = (256,)
+    return build_state(cfg)
+
+
+@pytest.mark.parametrize("make", [_meta_state_5mb,
+                                  lambda: build(InrConfig("siren", hidden=(256,) * 3))],
+                         ids=["meta", "siren"])
+def test_save_and_load_stream(make, tmp_path):
+    obj = make()
+    path = tmp_path / "big.bin"
+    tracemalloc.start()
+    try:
+        save_model(path, obj)
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load_model(path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_000_000
+    assert save_peak <= 0.1 * size
+    assert load_peak <= 1.1 * size
+    np.testing.assert_array_equal(np.concatenate([p.data.ravel() for _, p in back.named_params()]),
+                                  np.concatenate([p.data.ravel() for _, p in obj.named_params()]))
+
+
 def test_save_is_deterministic(tmp_path):
     cfg = InrConfig("finer", **TINY_TARGET)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -218,6 +280,39 @@ def test_rejects_wrong_payload_count(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("width,count", [(4, 2 ** 60), (2 ** 31, None)])
+def test_refuses_huge_payload_before_allocating(width, count, tmp_path):
+    # count None: the count agrees with the config, whose width of 2^31
+    # implies 6.4e9 parameters, far more than the file holds
+    path, blob = _saved_blob(tmp_path)
+    body = bytearray(blob[:-4])
+    implied = param_count(InrConfig("siren", **dict(TINY_TARGET, hidden=(width,))))
+    struct.pack_into("<I", body, 9, width)
+    struct.pack_into("<Q", body, 7 + 2 + 4 * 1 + struct.calcsize("<II4dIIBq"),
+                     count or implied)
+    _rewrite(path, bytes(body))
+    message = f"payload declares {count} " if count else f"needed {8 * implied} more bytes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError, match=message):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("where", [0, 6, 7, -12])
+def test_crc_mismatch_reported_first(where, tmp_path):
+    # each flip also breaks a field (magic, kind, arch, payload), but the
+    # CRC is not recomputed, so the CRC is what the error names
+    path, blob = _saved_blob(tmp_path)
+    blob[where] ^= 0x5A
+    path.write_bytes(bytes(blob) + b"junk")
+    with pytest.raises(SerializationError, match="CRC mismatch"):
+        load_model(path)
+
+
 def test_rejects_trailing_junk(tmp_path):
     path, blob = _saved_blob(tmp_path)
     _rewrite(path, bytes(blob[:-4]) + b"\x00\x00\x00")
@@ -242,7 +337,8 @@ def test_rejects_invalid_network_config(field, value, tmp_path):
 
 @pytest.mark.parametrize("field,value", [("window", 8), ("window", 66),
                                          ("embed_dim", 0), ("lr", math.nan),
-                                         ("lr", math.inf)])
+                                         ("lr", math.inf), ("lam_t", math.nan),
+                                         ("lam_f", -1.0)])
 def test_rejects_invalid_meta_config(field, value, tmp_path):
     state = build_state(tiny_meta_config())
     setattr(state.config, field, value)
@@ -285,6 +381,8 @@ def test_atomic_write_honours_umask(tmp_path, umask):
     old = os.umask(umask)
     try:
         atomic_write_bytes(tmp_path / "out.bin", b"data")
+        save_model(tmp_path / "model.bin", build(InrConfig("siren", **TINY_TARGET)))
     finally:
         os.umask(old)
-    assert stat.S_IMODE(os.stat(tmp_path / "out.bin").st_mode) == 0o666 & ~umask
+    for name in ("out.bin", "model.bin"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask

@@ -476,3 +476,31 @@ def test_grad_check_utility(rng):
         return (t.sin() * t).sum()
 
     assert grad_check(f, [a]) < 1e-7
+
+
+# -- no_grad -------------------------------------------------------------------
+
+
+def test_no_grad_records_no_tape(rng):
+    x, w, b = (leaf(rng.standard_normal(s)) for s in ((5, 3), (4, 3), (4,)))
+    taped = T.linear(x, w, b).sin().sum()
+    with T.no_grad():
+        out = T.linear(x, w, b).sin()
+        total = out.sum()
+    for t in (out, total):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    np.testing.assert_array_equal(total.data, taped.data)
+    assert T.linear(x, w, b).requires_grad
+
+
+def test_no_grad_nests_and_restores_after_raise(rng):
+    x = leaf(rng.uniform(0.5, 1.0, 3))
+    with T.no_grad():
+        with T.no_grad():
+            assert not (x * x).requires_grad
+        assert not (x * x).requires_grad
+    assert (x * x).requires_grad
+    with pytest.raises(DomainError):
+        with T.no_grad():
+            x.shift(-2.0).log()
+    assert (x * x)._parents == (x, x)

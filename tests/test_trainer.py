@@ -57,6 +57,10 @@ def test_train_config_validation():
     for lr in (math.nan, math.inf, -math.inf, -1e-3):
         with pytest.raises(ContractError, match="lr"):
             TrainConfig(lr=lr)
+    for name in ("lam_t", "lam_f", "weight_decay"):
+        for v in (math.nan, math.inf, -1.0):
+            with pytest.raises(ContractError, match=name):
+                TrainConfig(**{name: v})
 
 
 def test_resolve_lr_defaults():
