@@ -17,7 +17,10 @@ band values are scattered into one reused dense buffer and multiplied
 against the flattened effective coefficients, so the dense
 ``(n, d_in, n_bases)`` basis tensor never exists.  The graph keeps only
 the per-point cell index, band and derivative-band values, the sigmoid
-and the clamp mask; the backward pass re-scatters each block.
+and the clamp mask; the backward pass re-scatters each block.  The
+sigmoid is ``0.5 + 0.5 tanh(x / 2)``, computed in place in x's dtype:
+it is within 2.2e-16 of the logistic function in float64 and, unlike
+``1 / (1 + exp(-x))``, overflows at no finite input.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .tensor import Tensor, ContractError, ShapeError, _node, _accum_fresh, _as_tensor
 
@@ -148,6 +150,15 @@ def spline_bases(x: Tensor, grid: SplineGrid) -> Tensor:
     return _node(bases, (x,), bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of x in x's dtype, as one new array."""
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
+
+
 def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
               grid: SplineGrid) -> Tensor:
     """Tape op: one KAN layer, x (n, d_in) -> (n, d_out).
@@ -175,7 +186,7 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     xd = x.data
     eff = coeffs.data if w_s is None else w_s.data[..., None] * coeffs.data
     eff2 = eff.reshape(d_out, d_in * nb)
-    sig = expit(xd)
+    sig = _sigmoid(xd)
     out = (xd * sig) @ w_b.data.T
 
     rows = max(1, BUDGET // (d_in * nb))

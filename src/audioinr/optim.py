@@ -37,8 +37,14 @@ class AdamW:
 
     def __init__(self, named_params, lr: float, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
-        if lr <= 0:
-            raise ContractError(f"lr must be positive, got {lr}")
+        b1, b2 = betas
+        for name, value, ok, want in (("lr", lr, lr > 0, "> 0"),
+                                      ("eps", eps, eps > 0, "> 0"),
+                                      ("weight_decay", weight_decay, weight_decay >= 0, ">= 0"),
+                                      ("beta1", b1, 0 <= b1 < 1, "in [0, 1)"),
+                                      ("beta2", b2, 0 <= b2 < 1, "in [0, 1)")):
+            if not (math.isfinite(value) and ok):
+                raise ContractError(f"{name} must be finite and {want}, got {value}")
         self.named_params: list[tuple[str, Tensor]] = [
             (n, p) for n, p in named_params]
         self.lr = lr

@@ -3,9 +3,11 @@
 Reads RIFF/WAVE containers holding PCM-16 or IEEE float-32 frames with
 one or two channels; stereo is averaged to mono.  Writes float-32 by
 default so reconstructions slightly outside [-1,1] survive a roundtrip;
-PCM-16 output clamps.  Resampling runs a windowed-sinc lowpass (Kaiser
-beta 8.555, 64 taps per phase, cutoff 0.9 of the tighter Nyquist)
-through a polyphase filter.
+PCM-16 output clamps.  Resampling by up/down runs a windowed-sinc
+lowpass (Kaiser beta 8.555, 64 taps per phase, cutoff 0.9 of the
+tighter Nyquist, unity gain in the passband) as a numpy polyphase
+filter: the output samples of each of the ``up`` phases are one matrix
+product of a strided view of the input with that phase's taps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from .tensor import ContractError
 from .serialize import atomic_write_bytes
@@ -150,9 +151,37 @@ def resample(clip: AudioClip, target_sr: int = 22050) -> AudioClip:
         return AudioClip(clip.sample_rate, clip.samples.copy(), clip.source_id)
     g = math.gcd(clip.sample_rate, target_sr)
     up, down = target_sr // g, clip.sample_rate // g
-    h = _sinc_kaiser_filter(up, down)
-    y = resample_poly(clip.samples, up, down, window=h)
+    y = _polyphase(clip.samples, up, down, _sinc_kaiser_filter(up, down))
     return AudioClip(target_sr, y, clip.source_id)
+
+
+def _polyphase(x: np.ndarray, up: int, down: int, h: np.ndarray) -> np.ndarray:
+    """Upsample x by up (zero stuffing), filter with the odd-length,
+    centred h, keep every down-th sample: ceil(len(x) * up / down) outputs.
+
+    Output m sits at t = m * down on the upsampled grid and equals
+    sum_i x[i] h[half + t - i * up].  With t = q * up + phase, that is a
+    dot product of the about len(h) / up inputs around x[q] with the
+    phase's taps; outputs m0, m0 + up, ... share a phase and step q by
+    down, so each phase is one matmul over a strided view of x.
+    """
+    if x.size == 0:
+        return np.zeros(0)
+    n_out = -(-x.size * up // down)
+    half = (h.size - 1) // 2
+    a, b = -(-half // up), half // up            # taps reach x[q - b] ... x[q + a]
+    q_taps = a + b + 1
+    # taps[phase, k] = h[half + phase + (b - k) * up], zero outside h
+    at = half + np.arange(up)[:, None] + (b - np.arange(q_taps)) * up
+    taps = np.where((at >= 0) & (at < h.size), h[np.clip(at, 0, h.size - 1)], 0.0)
+    xp = np.concatenate([np.zeros(b), x, np.zeros(a)])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, q_taps)
+    y = np.empty(n_out)
+    for m0 in range(min(up, n_out)):
+        q0, phase = divmod(m0 * down, up)
+        out = y[m0::up]
+        np.matmul(windows[q0::down][:out.size], taps[phase], out=out)
+    return y
 
 
 def wav_paths(directory) -> list[str]:

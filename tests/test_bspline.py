@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from audioinr import bspline
 from audioinr.bspline import (
@@ -259,6 +260,20 @@ def test_kan_layer_matches_unfused_graph(order, scale_spline, blocks, rng):
     assert len(got_grads) == len(want_grads)
     for g, w in zip(got_grads, want_grads):
         assert_rel_close(g, w, 1e-12)
+
+
+def test_sigmoid_matches_expit():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 100001), np.linspace(-8.0, 8.0, 100001)])
+    np.testing.assert_allclose(bspline._sigmoid(x), expit(x), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_keeps_dtype_and_raises_no_fp_error(dtype):
+    x = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=dtype)
+    with np.errstate(all="raise"):
+        s = bspline._sigmoid(x)
+    assert s.dtype == dtype
+    np.testing.assert_array_equal(s, np.array([0.0, 0.0, 0.5, 1.0, 1.0], dtype=dtype))
 
 
 @pytest.mark.parametrize("order", [0, 2, 3])

@@ -1,10 +1,15 @@
 """End-to-end command-line runs against temp files."""
 
 import glob
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import audioinr
 from audioinr import cli
 from audioinr.cli import main
 from audioinr.inr import InrConfig, param_count
@@ -229,3 +234,36 @@ def test_invalid_config_exits_two(tmp_path, clip_path, capsys):
                "--lambda-f", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+# -- runtime dependencies ------------------------------------------------------------
+
+
+def test_runtime_paths_import_no_scipy(tmp_path):
+    """A float32 KAN fit from a 44.1 kHz WAV (read, resample, save) and a
+    WAV write/read leave scipy unimported: the package runs on numpy alone."""
+    script = textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        import audioinr
+        from audioinr import cli
+        from audioinr.toydata import sine_mixture
+        from audioinr.wavio import AudioClip, resample, wav_read, wav_write
+        src = AudioClip(44100, sine_mixture(8192))
+        assert resample(src, 22050).samples.size == 4096
+        wav_write({str(tmp_path / "in.wav")!r}, src)
+        assert np.array_equal(wav_read({str(tmp_path / "in.wav")!r}).samples,
+                              src.samples.astype(np.float32))
+        rc = cli.main(["fit", {str(tmp_path / "in.wav")!r},
+                       "--out", {str(tmp_path / "m.bin")!r}, "--arch", "kan",
+                       "--steps", "1", "--precision", "float32"])
+        assert rc == 0, rc
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(audioinr.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"

@@ -219,6 +219,17 @@ def test_meta_train_input_validation():
         meta_train([], cfg, resolutions=FAST, n_mels=4)
 
 
+def test_meta_train_rejects_bad_weight_decay_before_stepping(monkeypatch):
+    def no_step(self, lr=None):
+        raise AssertionError("AdamW stepped")
+    monkeypatch.setattr(AdamW, "step", no_step)
+    cfg = tiny_config()
+    for bad in (math.nan, -5.0, math.inf):
+        with pytest.raises(ContractError, match="weight_decay"):
+            meta_train(_toy_windows(2, cfg.window), cfg, resolutions=FAST, n_mels=4,
+                       weight_decay=bad)
+
+
 def test_meta_train_uses_first_window():
     cfg = tiny_config(epochs=1)
     base = _toy_windows(1, cfg.window)[0]

@@ -160,9 +160,19 @@ def test_step_lr_override():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"lr": 0.0}, {"lr": -1.0}, {"lr": math.nan}, {"lr": math.inf},
+    {"weight_decay": math.nan}, {"weight_decay": -5.0}, {"weight_decay": math.inf},
+    {"eps": 0.0}, {"eps": math.nan},
+    {"betas": (1.0, 0.999)}, {"betas": (-0.1, 0.999)}, {"betas": (0.9, math.nan)},
+])
+def test_optimizer_rejects_bad_hyperparameters(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ContractError, match="beta" if name == "betas" else name):
+        AdamW([("p", leaf([1.0]))], **{"lr": 0.1, **kwargs})
+
+
 def test_optimizer_validation():
-    with pytest.raises(ContractError):
-        AdamW([], lr=0.0)
     p = leaf([1.0])
     opt = AdamW([("p", p)], lr=0.1)
     p.grad = np.zeros(2)

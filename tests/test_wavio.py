@@ -6,12 +6,14 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from audioinr.tensor import ContractError
 from audioinr.wavio import (
     AudioClip,
     PCM_SCALE,
     WavError,
+    _sinc_kaiser_filter,
     prepare_dataset,
     resample,
     wav_paths,
@@ -233,6 +235,42 @@ def test_upsampling_rejects_images():
     signal_band = np.abs(freqs - freq) < 50.0
     image_band = freqs > 3600.0
     assert spec[image_band].max() < 1e-3 * spec[signal_band].max()
+
+
+GAIN_PAIRS = [(16000, 22050), (48000, 22050), (22050, 44100), (8000, 24000)]
+
+
+@pytest.mark.parametrize("sr_in,sr_out", GAIN_PAIRS)
+def test_resample_unity_passband_gain(sr_in, sr_out):
+    # away from the filter's edge ramps a constant stays 1 and a 200 Hz
+    # tone keeps its amplitude, whatever the up factor
+    edge = 200
+    dc = resample(AudioClip(sr_in, np.ones(sr_in)), sr_out).samples
+    np.testing.assert_allclose(dc[edge:-edge], 1.0, atol=1e-3)
+    out = resample(AudioClip(sr_in, tone(sr_in, 200.0, 1.0, amp=1.0)), sr_out).samples
+    want = tone(sr_out, 200.0, 1.0, amp=1.0)
+    assert out.size == want.size
+    np.testing.assert_allclose(out[edge:-edge], want[edge:-edge], atol=1e-3)
+
+
+@pytest.mark.parametrize("sr_in,sr_out", GAIN_PAIRS + [(44100, 22050), (48000, 16000),
+                                                       (22050, 8000)])
+@pytest.mark.parametrize("n", [1, 5, 100, None])
+def test_resample_matches_scipy_polyphase(sr_in, sr_out, n, rng):
+    # oracle: scipy's resample_poly scales a given window by up, so it gets
+    # the unity-gain taps divided by up
+    n = sr_in if n is None else n
+    x = rng.uniform(-1.0, 1.0, n)
+    g = math.gcd(sr_in, sr_out)
+    up, down = sr_out // g, sr_in // g
+    want = resample_poly(x, up, down, window=_sinc_kaiser_filter(up, down) / up)
+    got = resample(AudioClip(sr_in, x), sr_out).samples
+    assert got.shape == want.shape == (math.ceil(n * up / down),)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+def test_resample_empty_clip():
+    assert resample(AudioClip(44100, np.zeros(0)), 22050).samples.shape == (0,)
 
 
 def test_resample_length_scales():
