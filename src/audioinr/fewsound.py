@@ -9,8 +9,12 @@ weight encoder delta_p, hypernetwork eta, and theta itself) train
 jointly by backpropagating the reconstruction loss of every adapted
 network in the batch.
 
-The hypernetwork's output layer starts at zero, so before any training
-the adapted network is exactly the universal one.
+The state's layout is one plan, ``_state_plan``: the four groups in
+order, theta last.  Every parameter but theta draws ``inr.uniform_init``
+in plan order; the hypernetwork's output layer starts at zero instead,
+so before any training the adapted network is exactly the universal one.
+Training and rendering take one route: ``adapted_flat`` (theta + delta
+on the tape), then ``inr.forward_from_flat``.
 
 Arbitrary-length audio is reconstructed window by window (50% overlap,
 final window right-aligned) and blended with a half-sample-offset Hann
@@ -34,7 +38,7 @@ from .tensor import Tensor, ContractError, ShapeError
 from . import inr
 from .inr import InrConfig
 from .loss import DEFAULT_RESOLUTIONS, make_combined_loss
-from .optim import AdamW, OneCycleSchedule, one_cycle_lr
+from .optim import AdamW, OneCycleSchedule, one_cycle_lr, run_steps
 
 
 @dataclass
@@ -59,10 +63,16 @@ class FewSoundConfig:
         self.hyper_hidden = tuple(int(w) for w in self.hyper_hidden)
         if self.window < 16:
             raise ContractError(f"window too small: {self.window}")
-        if self.embed_dim < 1 or self.conv0_channels < 1:
-            raise ContractError("embed_dim and conv0_channels must be positive")
-        if not self.encoder_channels or not self.hyper_hidden:
-            raise ContractError("encoder_channels and hyper_hidden must be non-empty")
+        for name in ("sample_rate", "embed_dim", "conv0_channels", "weight_enc_hidden",
+                     "epochs"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ContractError(f"batch_size must be None or >= 1, got {self.batch_size}")
+        for name in ("encoder_channels", "hyper_hidden"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ContractError(f"{name} must be non-empty and positive, got {widths}")
         if self.lr is None:
             self.lr = 1e-6 if self.target.arch == "siren" else 1e-5
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -79,18 +89,16 @@ class FewSoundConfig:
 
 class FewSoundState:
     """Parameter groups gamma (encoder), delta (weight encoder), eta
-    (hypernetwork), and the flat universal weights theta."""
+    (hypernetwork), and the flat universal weights theta, split from
+    (name, Tensor) pairs in _state_plan order."""
 
-    def __init__(self, config: FewSoundConfig,
-                 encoder: list[tuple[str, Tensor]],
-                 weight_enc: list[tuple[str, Tensor]],
-                 hyper: list[tuple[str, Tensor]],
-                 theta: Tensor, target_embedding: dict):
+    def __init__(self, config: FewSoundConfig, named: list[tuple[str, Tensor]],
+                 target_embedding: dict):
         self.config = config
-        self.encoder = encoder
-        self.weight_enc = weight_enc
-        self.hyper = hyper
-        self.theta = theta
+        *rest, (_, self.theta) = named
+        self.encoder, self.weight_enc, self.hyper = (
+            [(n, p) for n, p in rest if n.startswith(group)]
+            for group in ("enc.", "wenc.", "hyper."))
         self.target_embedding = target_embedding
 
     def groups(self) -> dict[str, list[Tensor]]:
@@ -105,109 +113,59 @@ class FewSoundState:
         return [*self.encoder, *self.weight_enc, *self.hyper, ("theta", self.theta)]
 
 
-def _encoder_plan(cfg: FewSoundConfig) -> list[tuple[str, tuple[int, ...]]]:
-    shapes = [("enc.conv0.w", (cfg.conv0_channels, 1, 7)),
-              ("enc.conv0.b", (cfg.conv0_channels,))]
+def _state_plan(cfg: FewSoundConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The state's layout: encoder, weight encoder, hypernetwork, theta."""
+    p_count = inr.param_count(cfg.target)
+    plan = [("enc.conv0.w", (cfg.conv0_channels, 1, 7)),
+            ("enc.conv0.b", (cfg.conv0_channels,))]
     c_prev = cfg.conv0_channels
     for i, c in enumerate(cfg.encoder_channels):
-        shapes += [(f"enc.block{i}.down.w", (c, c_prev, 4)),
-                   (f"enc.block{i}.down.b", (c,)),
-                   (f"enc.block{i}.a.w", (c, c, 3)),
-                   (f"enc.block{i}.a.b", (c,)),
-                   (f"enc.block{i}.b.w", (c, c, 1)),
-                   (f"enc.block{i}.b.b", (c,))]
+        plan += [(f"enc.block{i}.down.w", (c, c_prev, 4)),
+                 (f"enc.block{i}.down.b", (c,)),
+                 (f"enc.block{i}.a.w", (c, c, 3)),
+                 (f"enc.block{i}.a.b", (c,)),
+                 (f"enc.block{i}.b.w", (c, c, 1)),
+                 (f"enc.block{i}.b.b", (c,))]
         c_prev = c
-    shapes += [("enc.final.w", (c_prev, c_prev, 3)), ("enc.final.b", (c_prev,)),
-               ("enc.out.w", (cfg.embed_dim, c_prev)), ("enc.out.b", (cfg.embed_dim,))]
-    return shapes
-
-
-def _weight_enc_plan(cfg: FewSoundConfig, p_count: int) -> list[tuple[str, tuple[int, ...]]]:
+    plan += [("enc.final.w", (c_prev, c_prev, 3)), ("enc.final.b", (c_prev,)),
+             ("enc.out.w", (cfg.embed_dim, c_prev)), ("enc.out.b", (cfg.embed_dim,))]
     h = cfg.weight_enc_hidden
-    return [("wenc.l0.w", (h, p_count)), ("wenc.l0.b", (h,)),
-            ("wenc.l1.w", (cfg.embed_dim, h)), ("wenc.l1.b", (cfg.embed_dim,))]
-
-
-def _hyper_plan(cfg: FewSoundConfig, p_count: int) -> list[tuple[str, tuple[int, ...]]]:
+    plan += [("wenc.l0.w", (h, p_count)), ("wenc.l0.b", (h,)),
+             ("wenc.l1.w", (cfg.embed_dim, h)), ("wenc.l1.b", (cfg.embed_dim,))]
     dims = [2 * cfg.embed_dim, *cfg.hyper_hidden, p_count]
-    shapes = []
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-        shapes += [(f"hyper.l{i}.w", (b, a)), (f"hyper.l{i}.b", (b,))]
-    return shapes
+        plan += [(f"hyper.l{i}.w", (b, a)), (f"hyper.l{i}.b", (b,))]
+    return plan + [("theta", (p_count,))]
 
 
 def state_param_count(cfg: FewSoundConfig) -> int:
-    p = inr.param_count(cfg.target)
-    plans = _encoder_plan(cfg) + _weight_enc_plan(cfg, p) + _hyper_plan(cfg, p)
-    return sum(int(np.prod(s)) for _, s in plans) + p
+    return inr.plan_size(_state_plan(cfg))
 
 
 def build_state(config: FewSoundConfig) -> FewSoundState:
-    """Seeded init; the hypernetwork's last layer starts at exactly zero."""
+    """Seeded init: every group but theta draws inr.uniform_init in plan
+    order, except the hypernetwork's last layer, which starts at exactly
+    zero; theta is inr.build(config.target), flattened."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     dt = T.get_default_dtype()
-    p_count = inr.param_count(config.target)
-
-    def draw(shapes, zero_last_layer=False):
-        out = []
-        last_w = shapes[-2][0] if zero_last_layer else None
-        for name, shape in shapes:
-            if zero_last_layer and name in (last_w, shapes[-1][0]):
-                data = np.zeros(shape)
-            else:
-                fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else _bias_fan(name, shapes)
-                bound = math.sqrt(6.0 / fan_in) if len(shape) > 1 else 1.0 / math.sqrt(fan_in)
-                data = rng.uniform(-bound, bound, shape)
-            out.append((name, Tensor(data.astype(dt, copy=False), requires_grad=True,
-                                     name=name)))
-        return out
-
-    encoder = draw(_encoder_plan(config))
-    weight_enc = draw(_weight_enc_plan(config, p_count))
-    hyper = draw(_hyper_plan(config, p_count), zero_last_layer=True)
-
+    *plan, _ = _state_plan(config)
+    head = {name for name, _ in plan[-2:]}
+    named = []
+    for name, shape, fan_in in inr.fan_ins(plan):
+        data = np.zeros(shape) if name in head else inr.uniform_init(rng, shape, fan_in)
+        named.append((name, Tensor(data.astype(dt, copy=False), requires_grad=True,
+                                   name=name)))
     universal = inr.build(config.target)
     theta = Tensor(inr.flatten_params(universal).astype(dt, copy=False),
                    requires_grad=True, name="theta")
-    return FewSoundState(config, encoder, weight_enc, hyper, theta, universal.embedding)
+    return FewSoundState(config, named + [("theta", theta)], universal.embedding)
 
 
 def state_from_vector(config: FewSoundConfig, vector: np.ndarray) -> FewSoundState:
     """A state whose parameters are consecutive slices of a state_flatten
     vector: views of it when it has the default dtype, cast copies otherwise."""
-    vector = np.asarray(vector)
-    expected = state_param_count(config)
-    if vector.ndim != 1 or vector.size != expected:
-        raise ShapeError(f"state vector has {vector.size} entries, "
-                         f"config implies {expected}")
-    dt = T.get_default_dtype()
-    p_count = inr.param_count(config.target)
-    off = 0
-
-    def take(shapes):
-        nonlocal off
-        out = []
-        for name, shape in shapes:
-            k = int(np.prod(shape))
-            data = vector[off:off + k].reshape(shape).astype(dt, copy=False)
-            out.append((name, Tensor(data, requires_grad=True, name=name)))
-            off += k
-        return out
-
-    encoder = take(_encoder_plan(config))
-    weight_enc = take(_weight_enc_plan(config, p_count))
-    hyper = take(_hyper_plan(config, p_count))
-    [(_, theta)] = take([("theta", (p_count,))])
-    return FewSoundState(config, encoder, weight_enc, hyper, theta,
+    return FewSoundState(config, inr.leaves(vector, _state_plan(config)),
                          inr.frozen_embedding(config.target))
-
-
-def _bias_fan(bias_name: str, shapes) -> int:
-    stem = bias_name[:-2] + ".w"
-    for name, shape in shapes:
-        if name == stem:
-            return int(np.prod(shape[1:]))
-    raise ContractError(f"no weight matching bias {bias_name!r}")
 
 
 def state_flatten(state: FewSoundState) -> np.ndarray:
@@ -298,7 +256,9 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
     Each clip contributes its first ``window`` samples.  Every batch
     computes E_theta once, adapts each clip with it, renders the
     window's [-1,1] time grid, and sums the combined losses; AdamW steps
-    under a one-cycle schedule.
+    once per batch (``optim.run_steps``, epochs x batches steps) under a
+    one-cycle schedule.  A non-finite batch loss raises ContractError
+    ("non-finite loss at step S") before that step.
     """
     windows = []
     for i, c in enumerate(clips):
@@ -319,31 +279,23 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
     batches = [list(range(i, min(i + bs, len(windows))))
                for i in range(0, len(windows), bs)]
     opt = AdamW(state.named_params(), lr=config.lr, weight_decay=weight_decay)
-    sched = OneCycleSchedule(max_lr=config.lr,
-                             total_steps=max(1, config.epochs * len(batches)))
-    leaves = [p for _, p in state.named_params()]
+    sched = OneCycleSchedule(max_lr=config.lr, total_steps=config.epochs * len(batches))
 
-    trace = np.zeros(config.epochs)
-    step = 0
-    for epoch in range(config.epochs):
-        epoch_sum = 0.0
-        for batch in batches:
-            total = None
-            e_t = encode_weights(state)
-            for ci in batch:
-                flat = adapted_flat(state, windows[ci], e_t)
-                pred = inr.forward_from_flat(config.target, flat, times,
-                                             state.target_embedding)
-                term = loss_fns[ci](pred)
-                total = term if total is None else total + term
-            if not np.isfinite(total.data):
-                raise ContractError(f"non-finite meta-loss at epoch {epoch}, step {step}")
-            T.backward(total, leaves=leaves)
-            opt.step(lr=one_cycle_lr(sched, min(step, sched.total_steps)))
-            step += 1
-            epoch_sum += float(total.data)
-        trace[epoch] = epoch_sum / len(windows)
-    return state, trace
+    def batch_loss(step: int) -> Tensor:
+        total = None
+        e_t = encode_weights(state)
+        for ci in batches[step % len(batches)]:
+            flat = adapted_flat(state, windows[ci], e_t)
+            pred = inr.forward_from_flat(config.target, flat, times, state.target_embedding)
+            term = loss_fns[ci](pred)
+            total = term if total is None else total + term
+        return total
+
+    losses = run_steps(opt, batch_loss, sched.total_steps,
+                       lr_at=lambda step: one_cycle_lr(sched, step))
+    # each epoch's batch losses summed left to right, as a running total would
+    per_epoch = np.add.accumulate(losses.reshape(config.epochs, len(batches)), axis=1)
+    return state, per_epoch[:, -1] / len(windows)
 
 
 # -- overlap-add reconstruction --------------------------------------------------
@@ -388,7 +340,8 @@ def reconstruct_long(state: FewSoundState | None, clip,
 
     ``render_fn`` maps one window of true samples to its rendering; by
     default each window is adapted and rendered with the meta-trained
-    state, without a tape.  Output length equals input length; short
+    state, without a tape, through adapted_flat and
+    inr.forward_from_flat as in meta_train.  Output length equals input length; short
     inputs are padded to one window and trimmed afterwards.  Besides the
     output, memory holds one window's working set and the 1-D normalizer.
     """
@@ -408,7 +361,8 @@ def reconstruct_long(state: FewSoundState | None, clip,
 
         def render_fn(seg: np.ndarray) -> np.ndarray:
             with T.no_grad():
-                return adapt(state, seg, e_t).forward(times).data.astype(np.float64)
+                return inr.forward_from_flat(state.config.target, adapted_flat(state, seg, e_t),
+                                             times, state.target_embedding).data
 
     n = x.size
     starts, norm = overlap_add_weights(n, window)

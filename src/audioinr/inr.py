@@ -19,10 +19,19 @@ would fall below the square root of the dtype's smallest normal number,
 so its activations and their gradients hold no subnormal values, on
 which matmuls run many times slower.
 
-Parameters flatten in a fixed layer-major order (dense: W then b; kan:
-w_b, w_s, coeffs), so flat vectors, additive deltas, and serialized
-payloads all agree.  Frozen state (the RFF projection) is derived from
-the config seed, never stored in the parameter vector.
+A layout is a plan: an ordered list of (name, shape) pairs.  Parameters
+flatten in plan order, layer-major (dense: W then b; kan: w_b, w_s,
+coeffs), so flat vectors, additive deltas, and serialized payloads all
+agree; ``leaves`` is the one slicer from a flat vector to a plan's
+tensors and ``plan_size`` the one count.  Frozen state (the RFF
+projection) is derived from the config seed, never stored in the
+parameter vector.
+
+``build`` draws every parameter from one seeded PCG64 in plan order,
+after the frozen state.  ``uniform_init`` (weights U(+-sqrt(6/fan_in)),
+biases U(+-1/sqrt(fan_in)) with the fan-in of the weight before them in
+the plan) serves nerf, rff and every bias but FINER's first;
+``_init_param`` holds the SIREN/FINER, WIRE and KAN rules.
 """
 
 from __future__ import annotations
@@ -114,8 +123,51 @@ def param_shapes(config: InrConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
+def plan_size(plan) -> int:
+    """Entries in a flat vector laid out by ``plan``."""
+    return sum(math.prod(shape) for _, shape in plan)
+
+
 def param_count(config: InrConfig) -> int:
-    return sum(int(np.prod(s)) for _, s in param_shapes(config))
+    return plan_size(param_shapes(config))
+
+
+def _slices(plan, vector: np.ndarray):
+    """(name, shape, offset, size) of each plan entry in a flat vector;
+    ShapeError unless the vector is 1-D with plan_size(plan) entries."""
+    if vector.ndim != 1 or vector.size != plan_size(plan):
+        raise ShapeError(f"flat vector has {vector.size} entries, "
+                         f"layout needs {plan_size(plan)}")
+    off = 0
+    for name, shape in plan:
+        k = math.prod(shape)
+        yield name, shape, off, k
+        off += k
+
+
+def leaves(vector: np.ndarray, plan) -> list[tuple[str, Tensor]]:
+    """(name, trainable Tensor) per plan entry, sliced from a flat vector
+    of plan_size(plan) entries: views of it when it has the default
+    dtype, cast copies otherwise."""
+    vector, dt = np.asarray(vector), T.get_default_dtype()
+    return [(name, Tensor(vector[off:off + k].reshape(shape).astype(dt, copy=False),
+                          requires_grad=True, name=name))
+            for name, shape, off, k in _slices(plan, vector)]
+
+
+def fan_ins(plan):
+    """(name, shape, fan_in): prod(shape[1:]) for a weight; a bias takes the one before it."""
+    fan_in = None
+    for name, shape in plan:
+        if len(shape) > 1:
+            fan_in = math.prod(shape[1:])
+        yield name, shape, fan_in
+
+
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Weights (2-D or more) from U(+-sqrt(6/fan_in)), biases from U(+-1/sqrt(fan_in))."""
+    bound = math.sqrt(6.0 / fan_in) if len(shape) > 1 else 1.0 / math.sqrt(fan_in)
+    return rng.uniform(-bound, bound, shape)
 
 
 class InrModel:
@@ -134,18 +186,13 @@ class InrModel:
 
 
 def build(config: InrConfig, seed: int | None = None) -> InrModel:
-    """Initialize a network; draws happen in flatten order, embedding first."""
+    """Initialize a network; draws happen in plan order, embedding first."""
     rng = np.random.Generator(np.random.PCG64(config.seed if seed is None else seed))
     dt = T.get_default_dtype()
     embedding = frozen_embedding(config, rng)
-
-    dims = layer_dims(config)
-    n_layers = len(dims) - 1
-    params: list[Tensor] = []
-    for name, shape in param_shapes(config):
-        prefix = name.split(".")[0]
-        layer_idx = int(prefix[3:]) if prefix.startswith("kan") else int(prefix[5:])
-        data = _init_param(config, name, shape, layer_idx, n_layers, rng)
+    params = []
+    for i, (name, shape, fan_in) in enumerate(fan_ins(param_shapes(config))):
+        data = _init_param(config, shape, fan_in, i < 2, rng)   # dense: W0, b0 first
         params.append(Tensor(data.astype(dt, copy=False), requires_grad=True, name=name))
     return InrModel(config, params, embedding)
 
@@ -161,33 +208,24 @@ def frozen_embedding(config: InrConfig, rng: np.random.Generator | None = None) 
                                 config.rff_features).astype(np.float64)}
 
 
-def _init_param(config, name, shape, layer_idx, n_layers, rng) -> np.ndarray:
-    kind = name.split(".")[1]
+def _init_param(config, shape, fan_in, first_layer, rng) -> np.ndarray:
+    """siren/finer W: U(+-1/fan_in) in layer 0, else U(+-sqrt(6/fan_in)/omega0);
+    finer's layer-0 bias U(+-finer_bias_bound); wire W: N(0, 1/fan_in);
+    kan w_b, w_s: U(+-sqrt(6/(d_in+d_out))), coeffs N(0, (0.1/sqrt(n_bases))^2)."""
     if config.arch == "kan":
-        d_out, d_in = shape[0], shape[1]
-        if kind in ("w_b", "w_s"):
-            bound = math.sqrt(6.0 / (d_in + d_out))
+        if len(shape) == 2:                                # w_b, w_s
+            bound = math.sqrt(6.0 / (shape[0] + shape[1]))
             return rng.uniform(-bound, bound, shape)
         return rng.normal(0.0, 0.1 / math.sqrt(shape[-1]), shape)
-
-    d_in = shape[1] if kind == "W" else None
-    if kind == "W":
-        if config.arch in ("siren", "finer"):
-            if layer_idx == 0:
-                bound = 1.0 / d_in
-            else:
-                bound = math.sqrt(6.0 / d_in) / config.omega0
+    if config.arch in ("siren", "finer"):
+        if len(shape) == 2:
+            bound = 1.0 / fan_in if first_layer else math.sqrt(6.0 / fan_in) / config.omega0
             return rng.uniform(-bound, bound, shape)
-        if config.arch == "wire":
-            return rng.normal(0.0, 1.0, shape) / math.sqrt(d_in)
-        bound = math.sqrt(6.0 / d_in)                      # relu families
-        return rng.uniform(-bound, bound, shape)
-    # biases
-    fan_in = layer_dims(config)[layer_idx]
-    if config.arch == "finer" and layer_idx == 0:
-        return rng.uniform(-config.finer_bias_bound, config.finer_bias_bound, shape)
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+        if config.arch == "finer" and first_layer:
+            return rng.uniform(-config.finer_bias_bound, config.finer_bias_bound, shape)
+    elif config.arch == "wire" and len(shape) == 2:
+        return rng.normal(0.0, 1.0, shape) / math.sqrt(fan_in)
+    return uniform_init(rng, shape, fan_in)
 
 
 # -- forward -----------------------------------------------------------------
@@ -219,15 +257,14 @@ def _sin_features(t2: Tensor, freq: np.ndarray, phase: np.ndarray) -> Tensor:
 
 
 def forward(model: InrModel, times) -> Tensor:
-    """Amplitudes at the given times; times are clamped to [-1,1] first."""
-    cfg = model.config
+    """Amplitudes at the given 1-D times; times are clamped to [-1,1] first."""
+    return _forward_with(model.config, model.params, times, model.embedding)
+
+
+def _forward_with(cfg: InrConfig, plist: list[Tensor], times, embedding: dict) -> Tensor:
     t = T._as_tensor(times)
     if t.data.ndim != 1:
         raise ShapeError(f"times must be 1-D, got shape {t.shape}")
-    return _forward_with(cfg, model.params, t, model.embedding)
-
-
-def _forward_with(cfg: InrConfig, plist: list[Tensor], t: Tensor, embedding: dict) -> Tensor:
     n = t.size
     t2 = T.reshape(t.clamp(-1.0, 1.0), (n, 1))
 
@@ -291,19 +328,7 @@ def unflatten_params(config: InrConfig, vector: np.ndarray) -> InrModel:
 
     Parameters are views of ``vector`` when it has the default dtype,
     cast copies otherwise."""
-    vector = np.asarray(vector)
-    expected = param_count(config)
-    if vector.ndim != 1 or vector.size != expected:
-        raise ShapeError(f"parameter vector has {vector.size} entries, "
-                         f"config needs {expected}")
-    dt = T.get_default_dtype()
-    params = []
-    off = 0
-    for name, shape in param_shapes(config):
-        k = int(np.prod(shape))
-        params.append(Tensor(vector[off:off + k].reshape(shape).astype(dt, copy=False),
-                             requires_grad=True, name=name))
-        off += k
+    params = [p for _, p in leaves(vector, param_shapes(config))]
     return InrModel(config, params, frozen_embedding(config))
 
 
@@ -313,14 +338,6 @@ def forward_from_flat(config: InrConfig, flat: Tensor, times, embedding: dict) -
     Keeps the graph connected to ``flat``, so gradients flow into
     whatever produced it (e.g. theta + delta on the tape).
     """
-    if flat.data.ndim != 1 or flat.size != param_count(config):
-        raise ShapeError(f"flat vector has {flat.size} entries, "
-                         f"config needs {param_count(config)}")
-    t = T._as_tensor(times)
-    plist = []
-    off = 0
-    for _, shape in param_shapes(config):
-        k = int(np.prod(shape))
-        plist.append(T.reshape(T.narrow(flat, off, k), shape))
-        off += k
-    return _forward_with(config, plist, t, embedding)
+    plist = [T.reshape(T.narrow(flat, off, k), shape)
+             for _, shape, off, k in _slices(param_shapes(config), flat.data)]
+    return _forward_with(config, plist, times, embedding)

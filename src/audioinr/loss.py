@@ -186,8 +186,9 @@ def make_combined_loss(target: np.ndarray, lam_t: float = 1.0, lam_f: float = 1.
     lam_f * the mean over resolutions of spectral convergence + log-mel
     L1.  Target mel magnitudes are computed once up front instead of on
     every step; ``lam_f = 0`` skips the spectral term."""
-    if lam_t < 0 or lam_f < 0:
-        raise ContractError("loss weights must be non-negative")
+    if not (math.isfinite(lam_t) and math.isfinite(lam_f) and lam_t >= 0 and lam_f >= 0):
+        raise ContractError(f"loss weights must be finite and >= 0, "
+                            f"got lam_t={lam_t}, lam_f={lam_f}")
     target = np.asarray(target)
     tgt = Tensor(target.astype(T.get_default_dtype()))
     cached = []

@@ -9,15 +9,20 @@ then anneals with a cosine down to max_lr/final_div_factor.
 AdamW owns and mutates its parameters' arrays: each ``p.data`` is
 replaced by a private copy, which step() updates in place, block by
 block, so no full-size temporary is allocated.
+
+``run_steps`` is the one training loop, for single-clip fits and
+FewSound meta-training alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import Tensor, ContractError, ShapeError
 
 
@@ -117,6 +122,23 @@ class AdamW:
                 pb -= b
                 a *= lr
                 pb -= a
+
+
+def run_steps(opt: AdamW, loss_at: Callable[[int], Tensor], steps: int,
+              lr_at: Callable[[int], float] | None = None) -> np.ndarray:
+    """Per step: loss_at(step), a finite check (ContractError, nothing
+    stepped), backward into opt's parameters, one AdamW step at
+    lr_at(step) or opt.lr.  Returns every step's loss."""
+    leaves = [p for _, p in opt.named_params]
+    losses = np.zeros(steps)
+    for step in range(steps):
+        loss = loss_at(step)
+        if not np.isfinite(loss.data):
+            raise ContractError(f"non-finite loss at step {step}")
+        T.backward(loss, leaves=leaves)
+        opt.step(lr=None if lr_at is None else lr_at(step))
+        losses[step] = float(loss.data)
+    return losses
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Fitting is full batch: every step evaluates the network on one time
 point per sample, uniformly spaced over [-1,1], and takes one AdamW
-step on the combined loss at constant learning rate.  The comparison
+step (``optim.run_steps``) on the combined loss at constant learning
+rate; ``evaluate`` then scores the fit, rendering in the parameters'
+dtype.  The comparison
 harness fits every (clip, architecture) pair independently and reports
 per-architecture mean and standard deviation of each metric.
 """
@@ -22,7 +24,7 @@ from . import inr
 from .inr import InrConfig, InrModel
 from .loss import DEFAULT_RESOLUTIONS, StftResolution, make_combined_loss
 from . import metrics as M
-from .optim import AdamW
+from .optim import AdamW, run_steps
 from .wavio import AudioClip, WavError, wav_paths, wav_read
 
 DEFAULT_KAN_LR = 5e-3
@@ -83,26 +85,19 @@ def fit_inr(clip: AudioClip, inr_config: InrConfig, train_config: TrainConfig) -
                                      train_config.n_mels)
         opt = AdamW(model.named_params(), lr=resolve_lr(train_config, inr_config.arch),
                     weight_decay=train_config.weight_decay)
-        trace = np.zeros(train_config.steps)
-        for step in range(train_config.steps):
-            loss = loss_fn(model.forward(times))
-            if not np.isfinite(loss.data):
-                raise ContractError(f"non-finite loss at step {step}")
-            T.backward(loss, leaves=model.params)
-            opt.step()
-            trace[step] = float(loss.data)
-        with T.no_grad():
-            pred = model.forward(times).data.astype(np.float64)
-    return FitResult(model, trace, M.compute_all(x, pred, train_config.metric_res),
+        trace = run_steps(opt, lambda step: loss_fn(model.forward(times)),
+                          train_config.steps)
+    return FitResult(model, trace, evaluate(model, clip, train_config.metric_res),
                      time.monotonic() - started)
 
 
 def evaluate(model: InrModel, clip: AudioClip,
              metric_res: StftResolution = M.DEFAULT_METRIC_RES) -> dict[str, float]:
-    """Render the model over the clip's [-1,1] time grid and compute metrics."""
+    """Render the model over the clip's [-1,1] time grid, in its parameters'
+    dtype, and compute metrics."""
     if clip.samples.size == 0:
         raise ContractError("empty clip")
-    times = np.linspace(-1.0, 1.0, clip.samples.size)
+    times = np.linspace(-1.0, 1.0, clip.samples.size).astype(model.params[0].data.dtype)
     with T.no_grad():
         pred = model.forward(times).data.astype(np.float64)
     return M.compute_all(clip.samples, pred, metric_res)

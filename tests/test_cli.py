@@ -188,6 +188,21 @@ def test_model_kind_checks(tmp_path, dataset_dir, clip_path, capsys):
     assert "single-network model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,field", [(["--epochs", "0"], "epochs"),
+                                         (["--batch-size", "0"], "batch_size"),
+                                         (["--batch-size", "-1"], "batch_size"),
+                                         (["--sample-rate", "0"], "sample_rate")])
+def test_meta_train_bad_counts_exit_two_before_reading(tmp_path, flags, field, capsys):
+    # the dataset does not exist: the config is refused before it is read
+    state = tmp_path / "state.bin"
+    rc = main(["meta-train", str(tmp_path / "missing"), "--out", str(state)]
+              + META_FAST + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be" in err and "Traceback" not in err
+    assert not state.exists()
+
+
 # -- spectrogram ------------------------------------------------------------------------
 
 

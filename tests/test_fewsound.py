@@ -64,6 +64,15 @@ def test_config_validation():
         for v in (math.nan, math.inf, -1.0):
             with pytest.raises(ContractError, match=name):
                 tiny_config(**{name: v})
+    # counts that would break meta-training, each named in the error
+    for name, v in (("epochs", 0), ("epochs", -1), ("batch_size", 0), ("batch_size", -1),
+                    ("sample_rate", 0), ("weight_enc_hidden", 0),
+                    ("encoder_channels", (2, 0)), ("hyper_hidden", (8, -1)),
+                    ("hyper_hidden", ())):
+        with pytest.raises(ContractError, match=name):
+            tiny_config(**{name: v})
+    assert tiny_config(batch_size=None).batch_size is None
+    assert tiny_config(batch_size=1, epochs=1).epochs == 1
 
 
 def test_config_default_lr_per_target():
@@ -96,6 +105,55 @@ def test_build_state_deterministic():
     np.testing.assert_array_equal(a, b)
     c = state_flatten(build_state(tiny_config(seed=10)))
     assert not np.array_equal(a, c)
+
+
+def oracle_state(cfg: FewSoundConfig) -> list[np.ndarray]:
+    """The documented init rule for every group but theta: one PCG64 seeded
+    with cfg.seed, weights U(+-sqrt(6/fan_in)) with fan_in the product of
+    the shape after its first axis, each bias U(+-1/sqrt(fan_in)) of its
+    weight, in layer order; the hypernetwork's last layer is zero and
+    draws nothing."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    p_count = param_count(cfg.target)
+
+    def layer(w_shape, zero=False):
+        if zero:
+            return [np.zeros(w_shape), np.zeros(w_shape[0])]
+        fan_in = math.prod(w_shape[1:])
+        bw, bb = math.sqrt(6.0 / fan_in), 1.0 / math.sqrt(fan_in)
+        return [rng.uniform(-bw, bw, w_shape), rng.uniform(-bb, bb, w_shape[0])]
+
+    out = layer((cfg.conv0_channels, 1, 7))
+    c_prev = cfg.conv0_channels
+    for c in cfg.encoder_channels:
+        out += layer((c, c_prev, 4)) + layer((c, c, 3)) + layer((c, c, 1))
+        c_prev = c
+    out += layer((c_prev, c_prev, 3)) + layer((cfg.embed_dim, c_prev))
+    out += layer((cfg.weight_enc_hidden, p_count))
+    out += layer((cfg.embed_dim, cfg.weight_enc_hidden))
+    dims = [2 * cfg.embed_dim, *cfg.hyper_hidden, p_count]
+    for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+        out += layer((b, a), zero=i == len(dims) - 2)
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("over", [{}, dict(encoder_channels=(3, 2, 4), hyper_hidden=(5, 6),
+                                           target=InrConfig("kan", hidden=(3,), seed=2),
+                                           seed=4)])
+def test_build_state_matches_init_oracle(over, dtype):
+    cfg = tiny_config(**over)
+    with T.default_dtype(dtype):
+        state = build_state(cfg)
+        theta = flatten_params(build(cfg.target))
+    named = state.named_params()
+    want = oracle_state(cfg)
+    assert len(named) == len(want) + 1
+    for (name, p), w in zip(named, want):
+        assert p.data.dtype == np.dtype(dtype) and p.shape == w.shape, name
+        assert np.array_equal(p.data, w.astype(dtype)), name
+    assert named[-1][0] == "theta" and state.theta.data.dtype == np.dtype(dtype)
+    assert np.array_equal(state.theta.data, theta)
 
 
 def test_hyper_output_layer_starts_at_zero():
@@ -228,6 +286,31 @@ def test_meta_train_rejects_bad_weight_decay_before_stepping(monkeypatch):
         with pytest.raises(ContractError, match="weight_decay"):
             meta_train(_toy_windows(2, cfg.window), cfg, resolutions=FAST, n_mels=4,
                        weight_decay=bad)
+
+
+def test_meta_train_stops_before_stepping_on_a_non_finite_loss(monkeypatch):
+    # batches of one clip, two epochs: the third step's loss is the first nan
+    cfg = tiny_config(batch_size=1)
+    clips = _toy_windows(3, cfg.window)
+    steps = []
+    step = AdamW.step
+
+    def counted(self, lr=None):
+        steps.append(lr)
+        step(self, lr)
+
+    make_loss, built = fewsound.make_combined_loss, []
+
+    def poisoned(*args, **kwargs):           # the third clip's loss reads nan
+        built.append(make_loss(*args, **kwargs))
+        fn = built[-1]
+        return (lambda pred: fn(pred).scale(math.nan)) if len(built) == 3 else fn
+
+    monkeypatch.setattr(AdamW, "step", counted)
+    monkeypatch.setattr(fewsound, "make_combined_loss", poisoned)
+    with pytest.raises(ContractError, match="non-finite loss at step 2$"):
+        meta_train(clips, cfg, resolutions=FAST, n_mels=4)
+    assert len(steps) == 2
 
 
 def test_meta_train_uses_first_window():

@@ -253,6 +253,59 @@ def test_build_is_deterministic():
     assert not np.array_equal(a, c)
 
 
+def oracle_init(cfg: InrConfig, seed: int) -> list[np.ndarray]:
+    """The documented init rules, written out per architecture: draws from
+    one PCG64 seeded with ``seed``, the RFF projection first, then each
+    layer's parameters in flatten order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if cfg.arch == "rff":
+        rng.normal(0.0, cfg.rff_sigma, cfg.rff_features)
+    d_in = {"nerf": 2 * cfg.encoding_length, "kan": 2 * cfg.encoding_length,
+            "rff": 2 * cfg.rff_features}.get(cfg.arch, 1)
+    drawn = []
+    for i, d_out in enumerate([*cfg.hidden, 1]):
+        if cfg.arch == "kan":
+            bound = math.sqrt(6.0 / (d_in + d_out))
+            for _ in range(2 if cfg.scale_spline else 1):          # w_b, then w_s
+                drawn.append(rng.uniform(-bound, bound, (d_out, d_in)))
+            nb = cfg.grid_size + cfg.spline_order
+            drawn.append(rng.normal(0.0, 0.1 / math.sqrt(nb), (d_out, d_in, nb)))
+        else:
+            if cfg.arch in ("siren", "finer"):
+                bound = 1.0 / d_in if i == 0 else math.sqrt(6.0 / d_in) / cfg.omega0
+                drawn.append(rng.uniform(-bound, bound, (d_out, d_in)))
+            elif cfg.arch == "wire":
+                drawn.append(rng.normal(0.0, 1.0, (d_out, d_in)) / math.sqrt(d_in))
+            else:
+                bound = math.sqrt(6.0 / d_in)
+                drawn.append(rng.uniform(-bound, bound, (d_out, d_in)))
+            if cfg.arch == "finer" and i == 0:
+                bound = cfg.finer_bias_bound
+            else:
+                bound = 1.0 / math.sqrt(d_in)
+            drawn.append(rng.uniform(-bound, bound, d_out))
+        d_in = d_out
+    return drawn
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("cfg", [*(small(a) for a in ARCHS),
+                                 *(InrConfig(a, seed=11) for a in ARCHS),
+                                 small("kan", scale_spline=False),
+                                 small("finer", finer_bias_bound=3.0)],
+                         ids=lambda c: f"{c.arch}-{'x'.join(map(str, c.hidden))}")
+def test_build_matches_init_oracle(cfg, dtype):
+    with T.default_dtype(dtype):
+        model = build(cfg)
+        again = build(cfg, seed=cfg.seed + 1)
+    for seed, m in ((cfg.seed, model), (cfg.seed + 1, again)):
+        want = oracle_init(cfg, seed)
+        assert [p.shape for p in m.params] == [w.shape for w in want]
+        for p, w in zip(m.params, want):
+            assert p.data.dtype == np.dtype(dtype)
+            assert np.array_equal(p.data, w.astype(dtype))
+
+
 def test_rff_projection_frozen_and_seeded():
     cfg = small("rff")
     a = build(cfg).embedding["rff_b"]
@@ -285,6 +338,11 @@ def test_forward_rejects_matrix_times():
     model = build(small("nerf"))
     with pytest.raises(ShapeError):
         model.forward(np.zeros((4, 4)))
+    # forward_from_flat shares the check; it once rendered (3, 2) times as 6 samples
+    flat = Tensor(flatten_params(model))
+    for times in (np.zeros((3, 2)), np.zeros(())):
+        with pytest.raises(ShapeError, match="times must be 1-D"):
+            forward_from_flat(model.config, flat, times, model.embedding)
 
 
 # -- flat-vector plumbing ------------------------------------------------------

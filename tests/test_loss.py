@@ -284,6 +284,12 @@ def test_combined_loss_rejects_negative_weights():
         make_combined_loss(np.zeros(128), lam_t=-1.0)
     with pytest.raises(ContractError):
         make_combined_loss(np.zeros(128), lam_f=-0.5)
+    # nan once passed a plain `< 0` test: lam_f=nan dropped the spectral
+    # term (nan > 0 is False) and lam_t=nan made every loss nan
+    for weights in (dict(lam_t=math.nan), dict(lam_f=math.nan), dict(lam_t=math.inf),
+                    dict(lam_f=math.inf), dict(lam_f=-math.inf)):
+        with pytest.raises(ContractError, match="finite"):
+            make_combined_loss(np.zeros(128), **weights)
 
 
 def test_combined_loss_gradient(rng):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from audioinr import optim
-from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
-from audioinr.tensor import ContractError, ShapeError, Tensor
+from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr, run_steps
+from audioinr.tensor import ContractError, ShapeError, Tensor, backward
 
 
 def leaf(value):
@@ -181,6 +181,63 @@ def test_optimizer_validation():
     p.grad = np.array([np.nan])
     with pytest.raises(ContractError):
         opt.step()
+
+
+# -- the step loop ---------------------------------------------------------------
+
+
+def quadratic_loss(p, target):
+    return (p - Tensor(target)).square().sum()
+
+
+def test_run_steps_matches_hand_loop(rng):
+    target = rng.standard_normal(5)
+    p0 = rng.standard_normal(5)
+    lrs = [0.1, 0.05, 0.2, 0.01]
+    p = leaf(p0)
+    got = run_steps(AdamW([("p", p)], lr=1.0), lambda step: quadratic_loss(p, target),
+                    len(lrs), lr_at=lambda step: lrs[step])
+    q = leaf(p0)
+    opt = AdamW([("q", q)], lr=1.0)
+    want = []
+    for lr in lrs:
+        loss = quadratic_loss(q, target)
+        backward(loss, leaves=[q])
+        opt.step(lr=lr)
+        want.append(float(loss.data))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(p.data, q.data)
+
+
+def test_run_steps_default_lr_is_the_optimizer_own(rng):
+    target = rng.standard_normal(3)
+    a, b = leaf([0.5, 0.5, 0.5]), leaf([0.5, 0.5, 0.5])
+    run_steps(AdamW([("a", a)], lr=0.3), lambda step: quadratic_loss(a, target), 3)
+    run_steps(AdamW([("b", b)], lr=1.0), lambda step: quadratic_loss(b, target), 3,
+              lr_at=lambda step: 0.3)
+    np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("bad_step", [0, 1, 3])
+def test_run_steps_stops_at_non_finite_loss(bad_step, monkeypatch):
+    calls = []
+    step = AdamW.step
+
+    def counted(self, lr=None):
+        calls.append(lr)
+        step(self, lr)
+
+    monkeypatch.setattr(AdamW, "step", counted)
+    p = leaf([1.0, -2.0])
+
+    def loss_at(k):
+        loss = p.square().sum()
+        return loss.scale(math.nan) if k == bad_step else loss
+
+    opt = AdamW([("p", p)], lr=0.1)
+    with pytest.raises(ContractError, match=f"non-finite loss at step {bad_step}$"):
+        run_steps(opt, loss_at, 5)
+    assert len(calls) == bad_step and opt.t == bad_step
 
 
 # -- one-cycle schedule ----------------------------------------------------------

@@ -338,7 +338,8 @@ def test_rejects_invalid_network_config(field, value, tmp_path):
 @pytest.mark.parametrize("field,value", [("window", 8), ("window", 66),
                                          ("embed_dim", 0), ("lr", math.nan),
                                          ("lr", math.inf), ("lam_t", math.nan),
-                                         ("lam_f", -1.0)])
+                                         ("lam_f", -1.0), ("epochs", 0),
+                                         ("sample_rate", 0), ("weight_enc_hidden", 0)])
 def test_rejects_invalid_meta_config(field, value, tmp_path):
     state = build_state(tiny_meta_config())
     setattr(state.config, field, value)
