@@ -3,9 +3,10 @@
 A grid of ``grid_size`` cells over [lo, hi] is extended by ``order``
 knot steps on each side, giving ``grid_size + order`` basis functions
 of degree ``order``.  Bases are evaluated with the iterative Cox-de
-Boor recursion, seeded from a one-hot order-0 row, so any point in
-range touches at most ``order + 1`` functions and the full set sums to
-one.  Inputs are clamped to the domain before evaluation.
+Boor recursion, seeded with the order-1 pair ``[1 - u, u]`` (u the
+position inside the point's cell), so any point in range touches at
+most ``order + 1`` functions and the full set sums to one.  Inputs are
+clamped to the domain before evaluation.
 
 ``spline_bases`` exposes the basis matrix to the autodiff engine, with
 the derivative recurrence as its backward rule.
@@ -15,9 +16,11 @@ the derivative recurrence as its backward rule.
 in blocks of ``max(1, BUDGET // (d_in * n_bases))``: each block's k+1
 band values are scattered into one reused dense buffer and multiplied
 against the flattened effective coefficients, so the dense
-``(n, d_in, n_bases)`` basis tensor never exists.  The graph keeps only
-the per-point cell index, band and derivative-band values, the sigmoid
-and the clamp mask; the backward pass re-scatters each block.  The
+``(n, d_in, n_bases)`` basis tensor never exists.  The node keeps only
+x, the parameters and the flattened effective coefficients ``eff``,
+nothing per (row, input) point: the backward pass recomputes each
+block's cells, bands and derivative bands, the sigmoid and the clamp
+mask, which come out bitwise equal to the forward's.  The
 sigmoid is ``0.5 + 0.5 tanh(x / 2)``, computed in place in x's dtype:
 it is within 2.2e-16 of the logistic function in float64 and, unlike
 ``1 / (1 + exp(-x))``, overflows at no finite input.
@@ -68,9 +71,9 @@ def make_grid(grid_size: int, order: int, lo: float = -1.0, hi: float = 1.0) -> 
 
 
 def _banded_impl(xf: np.ndarray, grid: SplineGrid, want_deriv: bool):
-    """Band evaluation over flat points: only the k+1 bases covering a
-    point are nonzero, so the recursion carries k+1 columns, each a
-    contiguous 1-D vector.
+    """Band evaluation over flat float64 points in [lo, hi]: only the
+    k+1 bases covering a point are nonzero, so the recursion carries k+1
+    columns, each a contiguous 1-D vector, built in place.
 
     Returns (cell, band, dband): basis cell + p is the (cell + p)-th of
     the n_bases functions and takes value band[p], p = 0..k; dband is
@@ -78,39 +81,53 @@ def _banded_impl(xf: np.ndarray, grid: SplineGrid, want_deriv: bool):
     """
     G, k = grid.grid_size, grid.order
     h = grid.step
-    # x == hi lands in the last cell, so the right endpoint stays covered
-    cell = np.clip(np.floor((xf - grid.lo) / h).astype(np.int64), 0, G - 1)
-    u = (xf - grid.lo) / h - cell          # position inside the cell, in [0, 1]
+    u = xf - grid.lo
+    u /= h
+    # x == hi lands in the last cell, so the right endpoint stays covered;
+    # fmax/fmin send a NaN point to cell 0 (its band stays NaN)
+    f = np.floor(u)
+    np.fmax(f, 0, out=f)
+    np.fmin(f, G - 1, out=f)
+    cell = f.astype(np.int64)
+    u -= f                                  # position inside the cell, in [0, 1]
 
-    band = [np.ones_like(xf)]
-    prev = band
-    for r in range(1, k + 1):
+    # order 1 is [1 - u, u]; u is only read from here on
+    band = [np.ones_like(xf)] if k == 0 else [1.0 - u, u]
+    prev = [np.ones_like(xf)] if k == 1 and want_deriv else band
+    for r in range(2, k + 1):
         if r == k:
             prev = band
         # B_{i,r} = (u + r - p)/r * B_{i,r-1} + (p + 1 - u)/r * B_{i+1,r-1}
         # in band coordinates p, with i = cell + p - r
         nxt = []
         for p in range(r + 1):
-            acc = None
-            if p >= 1:
-                acc = (u + (r - p)) * band[p - 1]
-            if p <= r - 1:
-                t = ((p + 1) - u) * band[p]
-                acc = t if acc is None else acc + t
-            nxt.append(acc / r if r > 1 else acc)
+            if p == 0:
+                acc = 1.0 - u
+                acc *= band[0]
+            elif p == r:
+                acc = u * band[r - 1]
+            else:
+                acc = u + (r - p)
+                acc *= band[p - 1]
+                t = (p + 1) - u
+                t *= band[p]
+                acc += t
+            acc /= r
+            nxt.append(acc)
         band = nxt
 
     if not want_deriv:
         return cell, band, None
     if k == 0:
-        dband = [np.zeros_like(xf)]
-    else:
-        # uniform knots collapse the derivative recurrence to a
-        # difference quotient of the order k-1 values
-        dband = [-prev[0] / h]
-        for p in range(1, k):
-            dband.append((prev[p - 1] - prev[p]) / h)
-        dband.append(prev[k - 1] / h)
+        return cell, band, [np.zeros_like(xf)]
+    # uniform knots collapse the derivative recurrence to a difference
+    # quotient of the order k-1 values
+    dband = [np.negative(prev[0])]
+    for p in range(1, k):
+        dband.append(prev[p - 1] - prev[p])
+    for col in dband:
+        col /= h
+    dband.append(prev[k - 1] / h)
     return cell, band, dband
 
 
@@ -169,7 +186,9 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     grid are clamped before the spline, and the spline term passes no
     gradient to them.  The bases are built and consumed one row block
     at a time; the recursion runs in float64, the buffer and the matmuls
-    in x's dtype.
+    in x's dtype.  The node keeps x, the parameters and eff; its
+    backward rebuilds each block's bases (with their derivatives when x
+    needs a gradient), the sigmoid and the clamp mask.
     """
     x, w_b, coeffs = _as_tensor(x), _as_tensor(w_b), _as_tensor(coeffs)
     w_s = None if w_s is None else _as_tensor(w_s)
@@ -186,42 +205,40 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     xd = x.data
     eff = coeffs.data if w_s is None else w_s.data[..., None] * coeffs.data
     eff2 = eff.reshape(d_out, d_in * nb)
-    sig = _sigmoid(xd)
-    out = (xd * sig) @ w_b.data.T
+    out = (xd * _sigmoid(xd)) @ w_b.data.T
 
     rows = max(1, BUDGET // (d_in * nb))
     buf = np.zeros(min(rows, n) * d_in * nb, dtype=xd.dtype)
     offsets = np.arange(min(rows, n) * d_in) * nb
-    blocks = []        # (start, stop, cell, band, dband) per row block
 
-    def scatter(cell, band):
-        """Fill the buffer with one block's bases; returns the flat
-        positions of band column 0 and the (m, d_in * nb) view."""
+    def bases(s, e, want_deriv):
+        """Rows s:e clamped to the grid, in float64, through _banded_impl;
+        the dense bases go into the buffer.  Returns the flat positions
+        of band column 0, the (m, d_in * nb) view and the derivative band."""
+        xb = np.clip(xd[s:e], grid.lo, grid.hi, dtype=np.float64)
+        cell, band, dband = _banded_impl(xb.reshape(-1), grid, want_deriv)
         idx = offsets[:cell.size] + cell
         dense = buf[:cell.size * nb]
         dense.fill(0.0)
         for p, col in enumerate(band):
             dense[idx + p] = col
-        return idx, dense.reshape(-1, d_in * nb)
+        return idx, dense.reshape(-1, d_in * nb), dband
 
-    xc = np.clip(xd.astype(np.float64, copy=False), grid.lo, grid.hi)
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        cell, band, dband = _banded_impl(xc[s:e].reshape(-1), grid, x.requires_grad)
-        _, dense = scatter(cell, band)
-        out[s:e] = out[s:e] + dense @ eff2.T
-        blocks.append((s, e, cell, band, dband))
-    mask = (xd >= grid.lo) & (xd <= grid.hi)
+        out[s:e] += bases(s, e, False)[1] @ eff2.T
 
     def bwd(g):
+        sig = _sigmoid(xd)
         if w_b.requires_grad:
             _accum_fresh(w_b, g.T @ (xd * sig))
         if x.requires_grad:
             dx = (g @ w_b.data) * (sig * (1.0 + xd * (1.0 - sig)))
         need_eff = coeffs.requires_grad or (w_s is not None and w_s.requires_grad)
         d_eff = np.zeros_like(eff2) if need_eff else None
-        for s, e, cell, band, dband in blocks:
-            idx, dense = scatter(cell, band)
+        for s in range(0, n, rows):
+            e = min(s + rows, n)
+            idx, dense, dband = bases(s, e, x.requires_grad)
             gs = g[s:e]
             if need_eff:
                 d_eff += gs.T @ dense
@@ -230,7 +247,8 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
                 acc = gflat[idx] * dband[0]
                 for p in range(1, grid.order + 1):
                     acc += gflat[idx + p] * dband[p]
-                dx[s:e] += acc.reshape(e - s, d_in) * mask[s:e]
+                inside = (xd[s:e] >= grid.lo) & (xd[s:e] <= grid.hi)
+                dx[s:e] += acc.reshape(e - s, d_in) * inside
         if x.requires_grad:
             _accum_fresh(x, dx)
         if need_eff:

@@ -178,9 +178,10 @@ def state_flatten(state: FewSoundState) -> np.ndarray:
 
 
 def encode_audio(state: FewSoundState, window) -> Tensor:
-    """E_S for one window of exactly config.window samples."""
+    """E_S for one window of exactly config.window samples, cast to the
+    state's dtype."""
     cfg = state.config
-    x = T._as_tensor(window)
+    x = Tensor(np.asarray(window, dtype=state.theta.data.dtype))
     if x.shape != (cfg.window,):
         raise ContractError(f"window must have exactly {cfg.window} samples, "
                             f"got shape {x.shape}")
@@ -271,7 +272,7 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
         raise ContractError("empty dataset")
 
     state = build_state(config)
-    times = np.linspace(-1.0, 1.0, config.window)
+    times = np.linspace(-1.0, 1.0, config.window).astype(state.theta.data.dtype, copy=False)
     loss_fns = [make_combined_loss(w, config.lam_t, config.lam_f, resolutions,
                                    config.sample_rate, n_mels) for w in windows]
 
@@ -355,7 +356,7 @@ def reconstruct_long(state: FewSoundState | None, clip,
     if render_fn is None:
         if state is None:
             raise ContractError("either a trained state or a render_fn is required")
-        times = np.linspace(-1.0, 1.0, window)
+        times = np.linspace(-1.0, 1.0, window).astype(state.theta.data.dtype, copy=False)
         with T.no_grad():
             e_t = encode_weights(state)
 

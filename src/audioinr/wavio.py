@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import ContractError
-from .serialize import atomic_write_bytes
+from .serialize import _atomic_file
 
 
 class WavError(ValueError):
@@ -29,6 +29,8 @@ class WavError(ValueError):
 
 
 PCM_SCALE = 32768.0
+# samples converted and written at a time by wav_write
+WRITE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -109,29 +111,29 @@ def wav_read(path) -> AudioClip:
 
 
 def wav_write(path, clip: AudioClip, pcm16: bool = False) -> None:
-    """Float-32 WAV by default; pcm16=True clamps to [-1, 32767/32768]."""
-    x = clip.samples
-    if pcm16:
-        scaled = np.clip(np.round(x * PCM_SCALE), -32768, 32767).astype("<i2")
-        body = scaled.tobytes()
-        fmt = struct.pack("<HHIIHH", 1, 1, clip.sample_rate,
-                          clip.sample_rate * 2, 2, 16)
-        chunks = [(b"fmt ", fmt), (b"data", body)]
-    else:
-        body = x.astype("<f4").tobytes()
-        fmt = struct.pack("<HHIIHH", 3, 1, clip.sample_rate,
-                          clip.sample_rate * 4, 4, 32)
-        fact = struct.pack("<I", x.size)
-        chunks = [(b"fmt ", fmt), (b"fact", fact), (b"data", body)]
+    """Float-32 WAV by default; pcm16=True clamps to [-1, 32767/32768].
 
-    out = []
-    total = 4
-    for cid, cbody in chunks:
-        pad = b"\x00" if len(cbody) & 1 else b""
-        out.append(cid + struct.pack("<I", len(cbody)) + cbody + pad)
-        total += 8 + len(cbody) + len(pad)
-    blob = b"RIFF" + struct.pack("<I", total) + b"WAVE" + b"".join(out)
-    atomic_write_bytes(path, blob)
+    The data chunk is converted and written WRITE_BLOCK samples at a
+    time, so memory beyond the clip stays one block's worth.  Every
+    chunk has an even size, so none needs a pad byte.
+    """
+    x, rate = clip.samples, clip.sample_rate
+    if pcm16:
+        codec, width, fact = 1, 2, b""
+    else:
+        codec, width, fact = 3, 4, b"fact" + struct.pack("<II", 4, x.size)
+    fmt = b"fmt " + struct.pack("<IHHIIHH", 16, codec, 1, rate, rate * width, width, 8 * width)
+    data = b"data" + struct.pack("<I", x.size * width)
+    riff = struct.pack("<4sI4s", b"RIFF", 4 + len(fmt) + len(fact) + len(data) + x.size * width,
+                       b"WAVE")
+    with _atomic_file(path) as f:
+        f.write(riff + fmt + fact + data)
+        for s in range(0, x.size, WRITE_BLOCK):
+            block = x[s:s + WRITE_BLOCK]
+            if pcm16:
+                f.write(np.clip(np.round(block * PCM_SCALE), -32768, 32767).astype("<i2"))
+            else:
+                f.write(block.astype("<f4"))
 
 
 def _sinc_kaiser_filter(up: int, down: int) -> np.ndarray:

@@ -27,11 +27,11 @@ from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.serialize import load_model, save_model
 from audioinr.tensor import Tensor, backward, grad_check
 from audioinr.toydata import sine_mixture, toy_clips
-from audioinr.trainer import (TrainConfig, compare_archs, fit_inr,
-                              fraction_nonincreasing)
+from audioinr.trainer import TrainConfig, compare_archs, fit_inr
 from audioinr.wavio import AudioClip, resample, wav_read, wav_write
 from test_bspline import naive_bases
 from test_metrics import brute_force_wasserstein
+from trace_stats import fraction_nonincreasing
 
 RESULT_LINES: list[str] = []
 

@@ -1,5 +1,7 @@
 """Uniform B-spline bases against a naive Cox-de Boor oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -260,6 +262,32 @@ def test_kan_layer_matches_unfused_graph(order, scale_spline, blocks, rng):
     assert len(got_grads) == len(want_grads)
     for g, w in zip(got_grads, want_grads):
         assert_rel_close(g, w, 1e-12)
+
+
+def test_kan_layer_graph_holds_no_per_point_state(rng):
+    # paper-scale widths: the node may keep x, the parameters and eff, but
+    # no cell, band, sigmoid or mask per (row, input) point
+    n, d_in, d_out = 16384, 48, 24
+    grid = make_grid(10, 2)
+    x = Tensor(rng.uniform(-1.2, 1.2, (n, d_in)), requires_grad=True)
+    w_b, w_s = (Tensor(rng.standard_normal((d_out, d_in)), requires_grad=True)
+                for _ in range(2))
+    coeffs = Tensor(rng.standard_normal((d_out, d_in, grid.n_bases)), requires_grad=True)
+    leaves = [x, w_b, w_s, coeffs]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out = kan_layer(*leaves, grid)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < x.data.nbytes / 4
+
+    loss = (out * Tensor(rng.standard_normal((n, d_out)))).sum()
+    first = [g.copy() for g in backward(loss, leaves=leaves).values()]
+    second = list(backward(loss, leaves=leaves).values())
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_sigmoid_matches_expit():

@@ -216,6 +216,33 @@ def test_fresh_state_adapts_to_the_universal_network(rng):
                                   universal.forward(t).data)
 
 
+@pytest.mark.parametrize("arch", ["siren", "kan"])
+def test_float32_state_adapts_and_renders_in_float32(arch, monkeypatch, rng):
+    cfg = tiny_config(target=InrConfig(arch, hidden=(4,), seed=3))
+    with T.default_dtype("float32"):
+        state = build_state(cfg)
+    window = rng.standard_normal(cfg.window)          # float64, as wav_read gives it
+    flat = adapted_flat(state, window)
+    times = np.linspace(-1.0, 1.0, cfg.window, dtype=np.float32)
+    pred = forward_from_flat(cfg.target, flat, times, state.target_embedding)
+    assert flat.data.dtype == np.float32 and pred.data.dtype == np.float32
+
+    # meta_train and reconstruct_long hand forward_from_flat float32 times
+    # and a float32 adapted vector, and get float32 audio back
+    seen = []
+
+    def recorded(config, flat, times, embedding):
+        out = forward_from_flat(config, flat, times, embedding)
+        seen.append((flat.data.dtype, np.asarray(times).dtype, out.data.dtype))
+        return out
+
+    monkeypatch.setattr(fewsound.inr, "forward_from_flat", recorded)
+    with T.default_dtype("float32"):
+        state, _ = meta_train([sine_mixture(cfg.window)], cfg, resolutions=FAST, n_mels=8)
+    reconstruct_long(state, rng.uniform(-0.5, 0.5, 100))
+    assert seen and set(seen) == {(np.dtype(np.float32),) * 3}
+
+
 def test_gradients_reach_all_groups_after_one_step(rng):
     cfg = tiny_config()
     state = build_state(cfg)

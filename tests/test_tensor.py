@@ -410,6 +410,26 @@ def test_conv1d_matches_direct_correlation(rng):
     np.testing.assert_allclose(b.grad, num_grad(f, b), atol=1e-5)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+def test_conv1d_float32_grads_match_float64(stride, padding, rng):
+    vals = [rng.standard_normal(s).astype(np.float32) for s in ((3, 40), (5, 3, 4), (5,))]
+    t_out = (40 + 2 * padding - 4) // stride + 1
+    c = rng.standard_normal((5, t_out))
+
+    def grads(dtype):
+        x, w, b = (Tensor(v.astype(dtype), requires_grad=True) for v in vals)
+        out = T.conv1d(x, w, b, stride=stride, padding=padding)
+        assert out.data.dtype == dtype
+        backward((out.sin() * Tensor(c.astype(dtype))).sum())
+        for t in (x, w, b):
+            assert t.grad.dtype == dtype
+        return [x.grad, w.grad, b.grad]
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
 # -- backward mechanics ---------------------------------------------------------
 
 

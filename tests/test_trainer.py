@@ -17,12 +17,11 @@ from audioinr.trainer import (
     compare_archs,
     evaluate,
     fit_inr,
-    fraction_nonincreasing,
-    moving_average,
     resolve_lr,
 )
 from audioinr.wavio import AudioClip, wav_write
 from audioinr.inr import flatten_params
+from trace_stats import fraction_nonincreasing, moving_average
 
 FAST = (StftResolution(64, 16, 64),)
 

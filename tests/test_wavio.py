@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from audioinr.tensor import ContractError
 from audioinr.wavio import (
     AudioClip,
     PCM_SCALE,
+    WRITE_BLOCK,
     WavError,
     _sinc_kaiser_filter,
     prepare_dataset,
@@ -79,6 +81,43 @@ def test_odd_pcm16_body_padded(tmp_path):
     path = tmp_path / "odd.wav"
     wav_write(path, AudioClip(8000, x), pcm16=True)
     assert len(wav_read(path)) == 3
+
+
+def whole_file_wav_bytes(x: np.ndarray, rate: int, pcm16: bool) -> bytes:
+    """The file wav_write should produce, built in memory chunk by chunk."""
+    if pcm16:
+        body = np.clip(np.round(x * PCM_SCALE), -32768, 32767).astype("<i2").tobytes()
+        chunks = [(b"fmt ", struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)),
+                  (b"data", body)]
+    else:
+        chunks = [(b"fmt ", struct.pack("<HHIIHH", 3, 1, rate, rate * 4, 4, 32)),
+                  (b"fact", struct.pack("<I", x.size)),
+                  (b"data", x.astype("<f4").tobytes())]
+    out = b"".join(cid + struct.pack("<I", len(body)) + body + b"\x00" * (len(body) & 1)
+                   for cid, body in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(out)) + b"WAVE" + out
+
+
+@pytest.mark.parametrize("pcm16", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, WRITE_BLOCK, 2 * WRITE_BLOCK + 7])
+def test_write_is_byte_equal_to_whole_file_writer(n, pcm16, tmp_path, rng):
+    x = rng.uniform(-1.2, 1.2, n)
+    path = tmp_path / "clip.wav"
+    wav_write(path, AudioClip(16000, x), pcm16=pcm16)
+    assert path.read_bytes() == whole_file_wav_bytes(x, 16000, pcm16)
+
+
+@pytest.mark.parametrize("pcm16", [False, True])
+def test_write_memory_is_one_block(pcm16, tmp_path, rng):
+    clip = AudioClip(22050, rng.uniform(-1.0, 1.0, 2_000_000))
+    tracemalloc.start()
+    try:
+        wav_write(tmp_path / "long.wav", clip, pcm16=pcm16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * clip.samples.nbytes
+    assert len(wav_read(tmp_path / "long.wav")) == 2_000_000
 
 
 def _stereo_wav_bytes(left, right, rate=8000):
