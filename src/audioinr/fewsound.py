@@ -207,7 +207,7 @@ def encode_weights(state: FewSoundState) -> Tensor:
     cfg = state.config
     p = dict(state.weight_enc)
     h = T.reshape(state.theta, (1, state.theta.size))
-    h = T.linear(h, p["wenc.l0.w"], p["wenc.l0.b"]).relu()
+    h = T.linear(h, p["wenc.l0.w"], p["wenc.l0.b"], act="relu")
     h = T.linear(h, p["wenc.l1.w"], p["wenc.l1.b"])
     return T.reshape(h, (cfg.embed_dim,))
 
@@ -222,9 +222,8 @@ def predict_update(state: FewSoundState, e_s: Tensor, e_theta: Tensor) -> Tensor
     n_layers = len(state.hyper) // 2
     p = dict(state.hyper)
     for i in range(n_layers):
-        h = T.linear(h, p[f"hyper.l{i}.w"], p[f"hyper.l{i}.b"])
-        if i < n_layers - 1:
-            h = h.relu()
+        h = T.linear(h, p[f"hyper.l{i}.w"], p[f"hyper.l{i}.b"],
+                     act="relu" if i < n_layers - 1 else None)
     return T.reshape(h, (h.shape[1],))
 
 

@@ -11,8 +11,10 @@ Six architectures behind one config type:
 - ``kan``    positional encoding + layers of learnable edge functions
              phi(x) = w_b silu(x) + w_s spline(x), nodes sum, no biases
 
-Each KAN layer runs as one ``bspline.kan_layer`` tape op, which builds
-its spline bases one block of rows at a time instead of as a dense
+Each dense layer, activation included, runs as one ``tensor.linear``
+tape op, and so do the sin features of nerf, rff and kan.  Each KAN
+layer runs as one ``bspline.kan_layer`` tape op, which builds its
+spline bases one block of rows at a time instead of as a dense
 (n, d_in, n_bases) tensor.  Each WIRE hidden layer runs as one
 ``tensor.gabor_layer`` op; its envelope is set to exactly 0 where it
 would fall below the square root of the dtype's smallest normal number,
@@ -250,10 +252,10 @@ def _rff_consts(b_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _sin_features(t2: Tensor, freq: np.ndarray, phase: np.ndarray) -> Tensor:
     """sin(t freq + phase) for times t2 (n, 1) and a (1, m) frequency row:
-    a linear node with freq as its (m, 1) weight and phase as its bias,
-    then sin, in t2's dtype."""
+    one linear node with freq as its (m, 1) weight, phase as its bias and
+    a sin activation, in t2's dtype."""
     dt = t2.data.dtype
-    return T.linear(t2, Tensor(freq.T.astype(dt)), Tensor(phase.astype(dt))).sin()
+    return T.linear(t2, Tensor(freq.T.astype(dt)), Tensor(phase.astype(dt)), act="sin")
 
 
 def forward(model: InrModel, times) -> Tensor:
@@ -280,18 +282,14 @@ def _forward_with(cfg: InrConfig, plist: list[Tensor], times, embedding: dict) -
     else:
         x = t2
 
-    pairs = [(plist[2 * i], plist[2 * i + 1]) for i in range(len(plist) // 2)]
-    for i, (w, b) in enumerate(pairs):
-        x = T.linear(x, w, b)
-        if i == len(pairs) - 1:
-            break
-        if cfg.arch in ("nerf", "rff"):
-            x = x.relu()
-        elif cfg.arch == "siren":
-            x = x.scale(cfg.omega0).sin()
-        elif cfg.arch == "finer":
-            x = (x * x.shift(1.0).abs()).scale(cfg.omega0).sin()
+    act = _DENSE_ACTS[cfg.arch]
+    for i in range(0, len(plist), 2):
+        last = i == len(plist) - 2
+        x = T.linear(x, plist[i], plist[i + 1], act=None if last else act, omega0=cfg.omega0)
     return T.reshape(x, (n,))
+
+
+_DENSE_ACTS = {"nerf": "relu", "rff": "relu", "siren": "sin", "finer": "finer"}
 
 
 def _kan_forward(cfg: InrConfig, plist: list[Tensor], t2: Tensor) -> Tensor:

@@ -12,6 +12,13 @@ intermediate value as soon as the next operation has consumed it.
 There is no broadcasting: binary ops accept equal shapes only, and
 anything else is a ShapeError.  Scalars enter through ``scale`` and
 ``shift``; biases through ``linear``, the one matrix product.
+
+Each dense layer is one ``linear`` node with an optional ReLU, sin or
+FINER activation, applied in the pre-activation's own buffer.  Beyond
+its output the node keeps nothing for ReLU, one n x d array for sin and
+two for FINER, and nothing at all when no tape is recorded.
+``conv1d`` copies its patch matrix from a strided view of the padded
+input and accumulates its input gradient one kernel tap at a time.
 """
 
 from __future__ import annotations
@@ -209,25 +216,40 @@ def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
 # -- elementwise and linear-algebra operations ----------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Dense layer x @ Wᵀ + b as one node: x (n, d_in), W (d_out, d_in), b (d_out,).
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, act: str | None = None,
+           omega0: float = 1.0) -> Tensor:
+    """Dense layer act(x @ Wᵀ + b) as one node: x (n, d_in), W (d_out, d_in), b (d_out,).
 
-    Backward writes dW = gᵀ.x, dx = g.W and db = g summed over rows.
+    ``act`` is None (the affine map), "relu", "sin" (sin(omega0 z)) or
+    "finer" (sin(omega0 z |z + 1|)).  The activation is applied in z's own
+    buffer, in the order the separate relu / scale / shift / abs / mul /
+    sin ops would round in, so results are bitwise equal to that graph.
+    A taped node keeps, beyond its output: nothing for ReLU (its mask is
+    out > 0), omega0 z for sin, and z and omega0 z |z + 1| for FINER;
+    with no tape it keeps nothing.  Backward takes cos once, folds g and
+    omega0 into it in place, then writes dW = dzᵀ.x, dx = dz.W and
+    db = dz summed over rows.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shapes x{x.shape} and W{w.shape} do not chain")
-    out = x.data @ w.data.T
+    if act not in _ACTS:
+        raise ContractError(f"unknown activation {act!r}; expected one of {_ACTS}")
+    z = x.data @ w.data.T
     if b is not None:
         b = _as_tensor(b)
         if b.shape != (w.shape[0],):
             raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[0]},)")
-        if np.can_cast(b.data.dtype, out.dtype):
-            out += b.data
+        if np.can_cast(b.data.dtype, z.dtype):
+            z += b.data
         else:
-            out = out + b.data
+            z = z + b.data
+    parents = (x, w) if b is None else (x, w, b)
+    taped = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out, dz = _dense_act(z, act, omega0, taped)
 
     def bwd(g):
+        g = dz(g)
         if x.requires_grad:
             _accum_fresh(x, g @ w.data)
         if w.requires_grad:
@@ -235,7 +257,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if b is not None and b.requires_grad:
             _accum_fresh(b, g.sum(axis=0))
 
-    return _node(out, (x, w) if b is None else (x, w, b), bwd)
+    return _node(out, parents, bwd)
+
+
+_ACTS = (None, "relu", "sin", "finer")
+
+
+def _dense_act(z: np.ndarray, act: str | None, omega0: float, taped: bool):
+    """(out, dz): linear's activation of the pre-activation z it owns, and
+    the map from the gradient at out to the gradient at z.  ReLU always
+    overwrites z; sin and FINER do so only when ``taped`` is false, and
+    then dz is None."""
+    if act is None:
+        return z, lambda g: g
+    if act == "relu":
+        out = np.maximum(z, 0.0, out=z)
+        return out, lambda g: g * (out > 0.0)
+    if act == "finer":
+        a = np.abs(z + 1.0)
+        s = np.multiply(z, a, out=a if taped else z)
+    else:
+        s = z
+    if omega0 != 1.0:
+        s *= omega0
+    if not taped:
+        return np.sin(s, out=s), None
+    out = np.sin(s)
+
+    def dz(g):
+        c = np.cos(s)
+        c *= g
+        if omega0 != 1.0:
+            c *= omega0
+        if act == "finer":
+            # d(z |z + 1|)/dz = |z + 1| + z sign(z + 1)
+            zp1 = z + 1.0
+            d = c * z
+            d *= np.sign(zp1)
+            c *= np.abs(zp1, out=zp1)
+            c += d
+        return c
+
+    return out, dz
 
 
 def gabor_floor(dtype) -> float:
@@ -469,7 +532,12 @@ def narrow(a: Tensor, start: int, length: int) -> Tensor:
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D convolution: x (C_in, T), w (C_out, C_in, K), b (C_out,) -> (C_out, T_out)."""
+    """1-D convolution: x (C_in, T), w (C_out, C_in, K), b (C_out,) -> (C_out, T_out).
+
+    The (C_in·K, T_out) patch matrix is copied once from a read-only
+    strided view of the zero-padded input.  Backward accumulates the input
+    gradient one kernel tap at a time, in x's dtype.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 3 or x.shape[0] != w.shape[1]:
         raise ShapeError(f"conv1d shapes x{x.shape} w{w.shape} incompatible")
@@ -481,10 +549,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
         raise ShapeError(f"conv1d kernel {k} does not fit input length {t} (pad {padding})")
 
     xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
-    # patches[(ci*k + j), t_out] over flattened padded input
-    cols = stride * np.arange(t_out)[None, :] + np.arange(k)[:, None]      # (k, t_out)
-    idx = (np.arange(c_in)[:, None, None] * t_pad + cols[None]).reshape(c_in * k, t_out)
-    patches = xp.ravel()[idx]                                              # (c_in*k, t_out)
+    # patches[ci*k + j, t] = xp[ci, j + stride*t], copied once from a strided
+    # view so that both products below run in BLAS
+    s_c, s_t = xp.strides
+    patches = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        xp, (c_in, k, t_out), (s_c, s_t, stride * s_t), writeable=False
+    )).reshape(c_in * k, t_out)
     w2 = w.data.reshape(c_out, c_in * k)
     out = w2 @ patches
     if b is not None:
@@ -498,9 +568,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
             _accum_fresh(b, g.sum(axis=1))
         _accum_fresh(w, (g @ patches.T).reshape(w.shape))
         if x.requires_grad:
-            dpatches = w2.T @ g                                            # (c_in*k, t_out)
-            flat = np.bincount(idx.ravel(), weights=dpatches.ravel(), minlength=c_in * t_pad)
-            dxp = flat.reshape(c_in, t_pad)
+            dpatches = (w2.T @ g).reshape(c_in, k, t_out)
+            dxp = np.zeros((c_in, t_pad), dtype=x.data.dtype)
+            span = stride * (t_out - 1) + 1
+            for j in range(k):                  # taps add in order j = 0, 1, ...
+                dxp[:, j:j + span:stride] += dpatches[:, j]
             _accum_fresh(x, dxp[:, padding:padding + t] if padding else dxp)
 
     parents = (x, w) if b is None else (x, w, b)

@@ -29,7 +29,7 @@ class WavError(ValueError):
 
 
 PCM_SCALE = 32768.0
-# samples converted and written at a time by wav_write
+# frames read at a time by wav_read, samples written at a time by wav_write
 WRITE_BLOCK = 1 << 16
 
 
@@ -53,61 +53,77 @@ class AudioClip:
 
 
 def wav_read(path) -> AudioClip:
+    """PCM-16 or float-32, mono or stereo (averaged), as a float64 clip.
+
+    The chunk headers are parsed from the file; the data chunk is then
+    read into the output array WRITE_BLOCK frames at a time, so memory
+    beyond the samples stays one block's worth.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 12:
-        raise WavError(f"offset 0: file too short ({len(blob)} bytes) for a RIFF header")
-    if blob[0:4] != b"RIFF":
-        raise WavError("offset 0: missing RIFF tag")
-    if blob[8:12] != b"WAVE":
-        raise WavError("offset 8: missing WAVE tag")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if size < 12:
+            raise WavError(f"offset 0: file too short ({size} bytes) for a RIFF header")
+        if head[0:4] != b"RIFF":
+            raise WavError("offset 0: missing RIFF tag")
+        if head[8:12] != b"WAVE":
+            raise WavError("offset 8: missing WAVE tag")
 
-    fmt = None
-    data = None
-    off = 12
-    while off + 8 <= len(blob):
-        cid = blob[off:off + 4]
-        (size,) = struct.unpack("<I", blob[off + 4:off + 8])
-        body_off = off + 8
-        if body_off + size > len(blob):
-            raise WavError(f"offset {off}: chunk {cid!r} of {size} bytes overruns file")
-        body = blob[body_off:body_off + size]
-        if cid == b"fmt ":
-            if size < 16:
-                raise WavError(f"offset {off}: fmt chunk too small ({size} bytes)")
-            fmt = struct.unpack("<HHIIHH", body[:16]) + (off,)
-        elif cid == b"data":
-            data = (body, body_off)
-        off = body_off + size + (size & 1)       # chunks are word-aligned
+        fmt = None
+        data = None
+        off = 12
+        while off + 8 <= size:
+            f.seek(off)
+            cid, chunk = struct.unpack("<4sI", f.read(8))
+            body_off = off + 8
+            if body_off + chunk > size:
+                raise WavError(f"offset {off}: chunk {cid!r} of {chunk} bytes overruns file")
+            if cid == b"fmt ":
+                if chunk < 16:
+                    raise WavError(f"offset {off}: fmt chunk too small ({chunk} bytes)")
+                fmt = struct.unpack("<HHIIHH", f.read(16)) + (off,)
+            elif cid == b"data":
+                data = (chunk, body_off)
+            off = body_off + chunk + (chunk & 1)     # chunks are word-aligned
 
-    if fmt is None:
-        raise WavError(f"offset {off}: no fmt chunk found")
-    if data is None:
-        raise WavError(f"offset {off}: no data chunk found")
-    codec, channels, rate, _, _, bits, fmt_off = fmt
-    if channels not in (1, 2):
-        raise WavError(f"offset {fmt_off}: {channels} channels unsupported (want 1 or 2)")
-    if rate == 0:
-        raise WavError(f"offset {fmt_off}: sample rate is 0")
+        if fmt is None:
+            raise WavError(f"offset {off}: no fmt chunk found")
+        if data is None:
+            raise WavError(f"offset {off}: no data chunk found")
+        codec, channels, rate, _, _, bits, fmt_off = fmt
+        if channels not in (1, 2):
+            raise WavError(f"offset {fmt_off}: {channels} channels unsupported (want 1 or 2)")
+        if rate == 0:
+            raise WavError(f"offset {fmt_off}: sample rate is 0")
 
-    body, body_off = data
-    if codec == 1 and bits == 16:
-        dtype, scale = "<i2", PCM_SCALE
-    elif codec == 3 and bits == 32:
-        dtype, scale = "<f4", 1.0
-    else:
-        raise WavError(f"offset {fmt_off}: unsupported codec (format {codec}, "
-                       f"{bits}-bit); want PCM-16 or IEEE float-32")
-    frame = channels * bits // 8
-    if len(body) % frame:
-        raise WavError(f"offset {body_off}: data chunk of {len(body)} bytes is not a "
-                       f"whole number of {frame}-byte sample frames")
-    raw = np.frombuffer(body, dtype=dtype).astype(np.float64) / scale
-    if not np.all(np.isfinite(raw)):
-        raise WavError(f"offset {body_off}: data chunk holds non-finite samples")
-    if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioClip(rate, raw, source_id=os.path.basename(os.fspath(path)))
+        n_bytes, body_off = data
+        if codec == 1 and bits == 16:
+            dtype, scale = "<i2", PCM_SCALE
+        elif codec == 3 and bits == 32:
+            dtype, scale = "<f4", 1.0
+        else:
+            raise WavError(f"offset {fmt_off}: unsupported codec (format {codec}, "
+                           f"{bits}-bit); want PCM-16 or IEEE float-32")
+        frame = channels * bits // 8
+        if n_bytes % frame:
+            raise WavError(f"offset {body_off}: data chunk of {n_bytes} bytes is not a "
+                           f"whole number of {frame}-byte sample frames")
+        samples = np.empty(n_bytes // frame)
+        f.seek(body_off)
+        for s in range(0, samples.size, WRITE_BLOCK):
+            block = samples[s:s + WRITE_BLOCK]
+            raw = np.frombuffer(f.read(block.size * frame), dtype=dtype)
+            if channels == 2:
+                pairs = (raw.astype(np.float64) / scale).reshape(-1, 2)
+                finite = np.all(np.isfinite(pairs))
+                np.mean(pairs, axis=1, out=block)
+            else:
+                block[...] = raw
+                block /= scale
+                finite = np.all(np.isfinite(block))
+            if not finite:
+                raise WavError(f"offset {body_off}: data chunk holds non-finite samples")
+    return AudioClip(rate, samples, source_id=os.path.basename(os.fspath(path)))
 
 
 def wav_write(path, clip: AudioClip, pcm16: bool = False) -> None:

@@ -30,7 +30,7 @@ from audioinr.loss import StftResolution, make_combined_loss
 from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError
 from audioinr.toydata import sine_mixture
-from unfused_ops import unfused_linear
+from unfused_ops import unfused_dense
 
 FAST = (StftResolution(32, 8, 32),)
 
@@ -408,7 +408,7 @@ def test_adapted_loss_matches_unfused_dense_graph(monkeypatch, rng):
         return loss.item(), [grads[id(p)].copy() for p in leaves]
 
     got_loss, got_grads = loss_and_grads()
-    monkeypatch.setattr(T, "linear", unfused_linear)
+    monkeypatch.setattr(T, "linear", unfused_dense)
     want_loss, want_grads = loss_and_grads()
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in zip(got_grads, want_grads):

@@ -28,7 +28,7 @@ from audioinr.tensor import (
     backward,
     grad_check,
 )
-from unfused_ops import (unfused_kan_layer, unfused_linear, unfused_sin_features,
+from unfused_ops import (unfused_dense, unfused_kan_layer, unfused_sin_features,
                          unfused_wire_forward)
 
 SMALL = dict(hidden=(6, 5), encoding_length=3, rff_features=4,
@@ -67,20 +67,18 @@ def test_positional_encoding_interleaves_octaves(rng):
 
 
 @pytest.mark.parametrize("arch", ["nerf", "rff", "kan"])
-def test_input_features_are_two_nodes(arch):
-    # sin <- linear(t2, frequency row, phase): one node fewer than the
-    # matmul + bias add + sin chain
+def test_input_features_are_one_node(arch):
+    # linear(t2, frequency row, phase, act="sin"): one node, where the
+    # matmul + bias add + sin chain took three
     model = build(small(arch))
     n = 32
     out = model.forward(Tensor(np.linspace(-1.0, 1.0, n), requires_grad=True))
     first = next(nd for nd in _reachable(out) if any(p is model.params[0] for p in nd._parents))
     feats = first._parents[0]
-    assert len(feats._parents) == 1
-    lin = feats._parents[0]
-    t2, freq, phase = lin._parents
+    t2, freq, phase = feats._parents
     assert t2.shape == (n, 1) and freq.shape == (input_dim(model.config), 1)
     assert not freq._parents and not phase._parents
-    np.testing.assert_array_equal(feats.data, np.sin(lin.data))
+    np.testing.assert_array_equal(feats.data, np.sin(t2.data @ freq.data.T + phase.data))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -103,6 +101,25 @@ def test_sin_features_bitwise_equal_to_unfused_chain(arch, dtype, monkeypatch, r
     assert got_loss.dtype == dtype
     np.testing.assert_array_equal(got_loss, want_loss)
     for got, want in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("consts", ["pe", "rff"])
+def test_sin_features_node_bitwise_equal_to_unfused(consts, dtype, rng):
+    freq, phase = (inr._pe_consts(5) if consts == "pe"
+                   else inr._rff_consts(rng.normal(0.0, 10.0, 6)))
+    times = rng.uniform(-1.0, 1.0, (300, 1)).astype(dtype)
+    c = Tensor(rng.standard_normal((300, freq.shape[1])).astype(dtype))
+
+    def run(features):
+        t2 = Tensor(times.copy(), requires_grad=True)
+        out = features(t2, freq, phase)
+        backward((out * c).sum())
+        return out.data, t2.grad
+
+    for got, want in zip(run(inr._sin_features), run(unfused_sin_features)):
+        assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
 
@@ -473,7 +490,7 @@ def test_fused_dense_layers_match_unfused_graph(arch, monkeypatch, rng):
         return loss.item(), [grads[id(p)].copy() for p in model.params]
 
     got_loss, got_grads = loss_and_grads()
-    monkeypatch.setattr(T, "linear", unfused_linear)
+    monkeypatch.setattr(T, "linear", unfused_dense)
     want_loss, want_grads = loss_and_grads()
     assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
     for got, want in zip(got_grads, want_grads):
@@ -571,6 +588,16 @@ def test_siren_graph_holds_one_node_per_dense_layer():
     params = {id(p) for p in model.params}
     layer_nodes = [t for t in nodes if any(id(p) in params for p in t._parents)]
     assert len(layer_nodes) == len(cfg.hidden) + 1
+
+
+@pytest.mark.parametrize("arch", ["nerf", "rff", "siren", "finer"])
+def test_dense_graph_is_one_node_per_layer_and_a_reshape(arch):
+    # the activations live inside the layer nodes; with untracked times the
+    # clamp and the sin features record no tape
+    cfg = InrConfig(arch)
+    model = build(cfg)
+    nodes = _reachable(model.forward(np.linspace(-1.0, 1.0, 256)))
+    assert sum(t._backward is not None for t in nodes) == len(cfg.hidden) + 2
 
 
 def test_wire_graph_holds_one_node_per_hidden_layer():

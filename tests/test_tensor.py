@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,96 @@ def test_linear_shape_errors():
         T.linear(x, w, leaf(np.ones(3)))
     with pytest.raises(ShapeError):
         T.linear(x, w, leaf(np.ones((1, 4))))
+
+
+def test_linear_rejects_unknown_activation():
+    with pytest.raises(ContractError):
+        T.linear(leaf(np.ones((2, 3))), leaf(np.ones((4, 3))), act="tanh")
+
+
+# -- fused dense activations -----------------------------------------------------
+
+ACTS = [None, "relu", "sin", "finer"]
+
+
+def dense_inputs(rng, dtype=np.float64, n=64, d_in=16, d_out=8):
+    vals = [rng.standard_normal((n, d_in)), rng.standard_normal((d_out, d_in)) / 4.0,
+            rng.standard_normal(d_out)]
+    return [Tensor(v.astype(dtype), requires_grad=True) for v in vals]
+
+
+@pytest.mark.parametrize("omega0", [1.0, 3.0])
+@pytest.mark.parametrize("act", ACTS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_dense_bitwise_equal_to_unfused_graph(act, omega0, dtype, rng):
+    c = rng.standard_normal((64, 8)).astype(dtype)
+
+    def run(fn):
+        x, w, b = dense_inputs(np.random.default_rng(3), dtype)
+        out = fn(x, w, b, act=act, omega0=omega0)
+        backward((out * Tensor(c)).sum())
+        return [out.data, x.grad, w.grad, b.grad]
+
+    for got, want in zip(run(T.linear), run(U.unfused_dense)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("act", ACTS)
+def test_dense_grad_check(act, rng):
+    x, w, b = dense_inputs(rng, n=6, d_in=4, d_out=3)
+    c = Tensor(rng.standard_normal((6, 3)))
+
+    def f(*ts):
+        return (T.linear(x, w, b, act=act, omega0=2.0) * c).sum()
+
+    assert grad_check(f, [x, w, b]) < 1e-6
+
+
+@pytest.mark.parametrize("act", ACTS)
+def test_dense_float32_grads_match_float64(act, rng):
+    vals = [t.data for t in dense_inputs(rng)]
+    c = rng.standard_normal((64, 8))
+
+    def grads(dtype):
+        x, w, b = (Tensor(v.astype(dtype), requires_grad=True) for v in vals)
+        out = T.linear(x, w, b, act=act, omega0=2.0)
+        assert out.data.dtype == dtype
+        backward((out * Tensor(c.astype(dtype))).sum())
+        for t in (x, w, b):
+            assert t.grad.dtype == dtype
+        return [x.grad, w.grad, b.grad]
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
+@pytest.mark.parametrize("act", ["relu", "sin", "finer"])
+def test_dense_untaped_matches_taped(act, rng):
+    x, w, b = dense_inputs(rng)
+    taped = T.linear(x, w, b, act=act, omega0=30.0)
+    with T.no_grad():
+        bare = T.linear(x, w, b, act=act, omega0=30.0)
+    assert not bare.requires_grad and bare._backward is None
+    np.testing.assert_array_equal(bare.data, taped.data)
+
+
+@pytest.mark.parametrize("act, bound", [("relu", 0.05), ("sin", 1.05), ("finer", 2.05)])
+def test_dense_node_holds_at_most_its_bound(act, bound, rng):
+    # beyond its output, a taped (4096, 128) hidden layer keeps nothing for
+    # ReLU, omega0 z for sin, and z and omega0 z |z + 1| for FINER
+    x, w, b = (Tensor(rng.standard_normal(s) / 8.0, requires_grad=True)
+               for s in ((4096, 128), (128, 128), (128,)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.linear(x, w, b, act=act, omega0=30.0)
+        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held <= bound * out.data.nbytes, held / out.data.nbytes
+    backward(out.sum())
+    assert x.grad.shape == x.shape
 
 
 # -- the Gabor layer -----------------------------------------------------------
@@ -428,6 +520,38 @@ def test_conv1d_float32_grads_match_float64(stride, padding, rng):
 
     for g32, g64 in zip(grads(np.float32), grads(np.float64)):
         assert np.abs(g32 - g64).max() <= 1e-5 * np.abs(g64).max()
+
+
+@pytest.mark.parametrize("c_in", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("padding", [0, 1, 3])
+def test_conv1d_bitwise_equal_to_bincount_conv(stride, padding, c_in, rng):
+    # one input channel is the encoder's first layer: its patch matrix must
+    # still be a contiguous copy, or the weight gradient leaves BLAS
+    vals = [rng.standard_normal(s) for s in ((c_in, 41), (5, c_in, 4), (5,))]
+    t_out = (41 + 2 * padding - 4) // stride + 1
+    c = Tensor(rng.standard_normal((5, t_out)))
+
+    def run(conv):
+        x, w, b = (Tensor(v, requires_grad=True) for v in vals)
+        out = conv(x, w, b, stride=stride, padding=padding)
+        backward((out.square() * c).sum())
+        return [out.data, x.grad, w.grad, b.grad]
+
+    for got, want in zip(run(T.conv1d), run(U.bincount_conv1d)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_conv1d_float32_input_grad_stays_float32(rng):
+    x = Tensor(rng.standard_normal((3, 40)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((5, 3, 4)).astype(np.float32), requires_grad=True)
+    backward(T.conv1d(x, w, None, stride=2, padding=1).sum())
+    assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
+    # the old scatter built its (c_in, t_pad) gradient in float64
+    want = U.bincount_conv1d(Tensor(x.data.astype(np.float64), requires_grad=True),
+                             Tensor(w.data.astype(np.float64)), None, stride=2, padding=1)
+    backward(want.sum())
+    assert np.abs(x.grad - want._parents[0].grad).max() <= 1e-5
 
 
 # -- backward mechanics ---------------------------------------------------------

@@ -141,6 +141,39 @@ def test_stereo_averages_to_mono(tmp_path):
     np.testing.assert_array_equal(clip.samples, want)
 
 
+@pytest.mark.parametrize("kind", ["float32", "pcm16", "stereo"])
+@pytest.mark.parametrize("frames", [1, WRITE_BLOCK, 2 * WRITE_BLOCK + 7])
+def test_block_read_matches_whole_chunk_decode(kind, frames, tmp_path, rng):
+    # the whole data chunk decoded at once, as one frombuffer / cast / scale
+    if kind == "stereo":
+        inter = rng.integers(-32768, 32768, (frames, 2)).astype(np.int16)
+        blob = _stereo_wav_bytes(inter[:, 0], inter[:, 1])
+        want = (inter.astype(np.float64) / PCM_SCALE).mean(axis=1)
+    else:
+        x = rng.uniform(-1.2, 1.2, frames)
+        blob = whole_file_wav_bytes(x, 16000, kind == "pcm16")
+        raw = np.frombuffer(blob[-frames * (2 if kind == "pcm16" else 4):],
+                            dtype="<i2" if kind == "pcm16" else "<f4")
+        want = raw.astype(np.float64) / (PCM_SCALE if kind == "pcm16" else 1.0)
+    path = tmp_path / "clip.wav"
+    path.write_bytes(blob)
+    np.testing.assert_array_equal(wav_read(path).samples, want)
+
+
+def test_read_memory_is_the_clip_plus_one_block(tmp_path):
+    # a 2-minute float-32 clip at 22.05 kHz; the whole-file reader peaked at 2.1x
+    path = tmp_path / "long.wav"
+    wav_write(path, AudioClip(22050, tone(22050, 440.0, 120.0)))
+    tracemalloc.start()
+    try:
+        clip = wav_read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert clip.samples.size == 120 * 22050
+    assert peak <= 1.2 * clip.samples.nbytes
+
+
 def test_read_skips_unknown_chunks(tmp_path):
     x = np.array([0.5, -0.5])
     body = np.round(x * PCM_SCALE).astype("<i2").tobytes()

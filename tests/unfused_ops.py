@@ -6,7 +6,8 @@ layer.  The graphs those fused ops replaced need a few more ops (a bare
 matrix product, a transpose, a bias add that broadcasts over rows, a
 trailing repeat, and the exp, cos and SiLU activations).  They live here,
 built on ``tensor._node`` and ``tensor._accum``, so the tests can rebuild
-each fused op out of separate nodes and compare.
+each fused op out of separate nodes and compare; so does the gather and
+``np.bincount`` form of ``conv1d`` that the strided one replaced.
 """
 
 import math
@@ -17,7 +18,7 @@ from scipy.special import expit
 from audioinr import tensor as T
 from audioinr.bspline import spline_bases
 from audioinr.loss import StftResolution, hann_window
-from audioinr.tensor import ShapeError, Tensor, _accum, _as_tensor, _node
+from audioinr.tensor import ShapeError, Tensor, _accum, _accum_fresh, _as_tensor, _node
 
 # -- ops ------------------------------------------------------------------------
 
@@ -98,6 +99,38 @@ def silu(a: Tensor) -> Tensor:
 
 UNARY = {"exp": exp, "cos": cos, "silu": silu}
 
+
+def bincount_conv1d(x, w, b, stride=1, padding=0):
+    """Oracle for T.conv1d: patches gathered through an int64 index array,
+    the input gradient scattered back by np.bincount (always float64)."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    c_in, t = x.shape
+    c_out, _, k = w.shape
+    t_pad = t + 2 * padding
+    t_out = (t_pad - k) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
+    cols = stride * np.arange(t_out)[None, :] + np.arange(k)[:, None]      # (k, t_out)
+    idx = (np.arange(c_in)[:, None, None] * t_pad + cols[None]).reshape(c_in * k, t_out)
+    patches = xp.ravel()[idx]                                              # (c_in*k, t_out)
+    w2 = w.data.reshape(c_out, c_in * k)
+    out = w2 @ patches
+    if b is not None:
+        b = _as_tensor(b)
+        out = out + b.data[:, None]
+
+    def bwd(g):
+        if b is not None:
+            _accum_fresh(b, g.sum(axis=1))
+        _accum_fresh(w, (g @ patches.T).reshape(w.shape))
+        if x.requires_grad:
+            dpatches = w2.T @ g
+            flat = np.bincount(idx.ravel(), weights=dpatches.ravel(), minlength=c_in * t_pad)
+            dxp = flat.reshape(c_in, t_pad)
+            _accum_fresh(x, dxp[:, padding:padding + t] if padding else dxp)
+
+    return _node(out, (x, w) if b is None else (x, w, b), bwd)
+
+
 # -- unfused layer graphs ---------------------------------------------------------
 
 
@@ -105,6 +138,19 @@ def unfused_linear(x, w, b=None):
     """Oracle for T.linear: the matmul / transpose / bias-add graph it replaces."""
     out = matmul(x, transpose(w))
     return out if b is None else add_bias(out, b)
+
+
+def unfused_dense(x, w, b=None, act=None, omega0=1.0):
+    """Oracle for T.linear with an activation: unfused_linear, then relu,
+    scale + sin, or FINER's shift / abs / mul / scale / sin chain."""
+    z = unfused_linear(x, w, b)
+    if act is None:
+        return z
+    if act == "relu":
+        return z.relu()
+    if act == "finer":
+        z = z * z.shift(1.0).abs()
+    return (z if omega0 == 1.0 else z.scale(omega0)).sin()
 
 
 def unfused_sin_features(t2, freq, phase):
