@@ -11,7 +11,10 @@ replaced by a private copy, which step() updates in place, block by
 block, so no full-size temporary is allocated.
 
 ``run_steps`` is the one training loop, for single-clip fits and
-FewSound meta-training alike.
+FewSound meta-training alike.  It frees each step's graph after the
+backward and each gradient after the AdamW step, so a fit peaks at one
+step's tape plus the parameters and moments, however many steps it
+takes.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ class AdamW:
     ``p.data`` with a private copy, and step() updates that copy in
     place, so an array a caller handed in is never written.  An array
     assigned to ``p.data`` later is copied the same way at the next step.
+    The moments come from ``np.zeros``, whose large arrays are fresh
+    zero pages rather than an explicit fill, and live as long as the
+    optimizer.  step() reads the gradients and frees nothing;
+    ``run_steps`` drops them after it.
     """
 
     def __init__(self, named_params, lr: float, betas=(0.9, 0.999),
@@ -58,8 +65,8 @@ class AdamW:
         self.weight_decay = weight_decay
         self.t = 0
         self._owned = [self._own(p) for _, p in self.named_params]
-        self.m = [np.zeros_like(p.data) for _, p in self.named_params]
-        self.v = [np.zeros_like(p.data) for _, p in self.named_params]
+        self.m = [np.zeros(p.shape, p.data.dtype) for _, p in self.named_params]
+        self.v = [np.zeros(p.shape, p.data.dtype) for _, p in self.named_params]
 
     @staticmethod
     def _own(p: Tensor) -> np.ndarray:
@@ -128,7 +135,13 @@ def run_steps(opt: AdamW, loss_at: Callable[[int], Tensor], steps: int,
               lr_at: Callable[[int], float] | None = None) -> np.ndarray:
     """Per step: loss_at(step), a finite check (ContractError, nothing
     stepped), backward into opt's parameters, one AdamW step at
-    lr_at(step) or opt.lr.  Returns every step's loss."""
+    lr_at(step) or opt.lr.  Returns every step's loss.
+
+    Each step's graph is dropped right after its backward, before the
+    AdamW step and the next forward, and each parameter's gradient is
+    set to None once the step has consumed it; so no step's tape
+    overlaps the next one's, and the loop returns with no gradients
+    held."""
     leaves = [p for _, p in opt.named_params]
     losses = np.zeros(steps)
     for step in range(steps):
@@ -136,8 +149,11 @@ def run_steps(opt: AdamW, loss_at: Callable[[int], Tensor], steps: int,
         if not np.isfinite(loss.data):
             raise ContractError(f"non-finite loss at step {step}")
         T.backward(loss, leaves=leaves)
-        opt.step(lr=None if lr_at is None else lr_at(step))
         losses[step] = float(loss.data)
+        del loss
+        opt.step(lr=None if lr_at is None else lr_at(step))
+        for p in leaves:
+            p.grad = None
     return losses
 
 

@@ -2,10 +2,13 @@
 
 A tape-style engine on top of numpy: every operation that touches a
 gradient-tracking tensor records its parents and a backward closure.
-Graphs are rebuilt on every training step and discarded after
-``backward``.  Inside the ``no_grad`` context manager operations record
-nothing, so a render that is never differentiated frees each
-intermediate value as soon as the next operation has consumed it.
+Graphs are rebuilt on every training step and live only as long as
+their loss is referenced.  ``backward`` frees each interior node's
+gradient as soon as that node's closure has passed it on, so only leaf
+gradients outlive the sweep.  Inside the ``no_grad`` context manager
+operations record nothing, so a render that is never differentiated
+frees each intermediate value as soon as the next operation has
+consumed it.
 64-bit floats are the default; call ``set_default_dtype`` or use the
 ``default_dtype`` context manager for 32-bit runs.
 
@@ -15,8 +18,10 @@ anything else is a ShapeError.  Scalars enter through ``scale`` and
 
 Each dense layer is one ``linear`` node with an optional ReLU, sin or
 FINER activation, applied in the pre-activation's own buffer.  Beyond
-its output the node keeps nothing for ReLU, one n x d array for sin and
-two for FINER, and nothing at all when no tape is recorded.
+its output the node keeps nothing for ReLU and one n x d array for sin
+(its phase) and FINER (z), and nothing at all when no tape is recorded.
+A WIRE layer (``gabor_layer``) builds its output in place, and its
+backward works in the result and two scratch arrays.
 ``conv1d`` copies its patch matrix from a strided view of the padded
 input and accumulates its input gradient one kernel tap at a time.
 """
@@ -225,10 +230,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, act: str | None = None
     buffer, in the order the separate relu / scale / shift / abs / mul /
     sin ops would round in, so results are bitwise equal to that graph.
     A taped node keeps, beyond its output: nothing for ReLU (its mask is
-    out > 0), omega0 z for sin, and z and omega0 z |z + 1| for FINER;
-    with no tape it keeps nothing.  Backward takes cos once, folds g and
-    omega0 into it in place, then writes dW = dzᵀ.x, dx = dz.W and
-    db = dz summed over rows.
+    out > 0), omega0 z for sin, and z for FINER, whose backward rebuilds
+    omega0 z |z + 1| in the forward's rounding order; with no tape it
+    keeps nothing.  Backward takes cos once, folds g and omega0 into it
+    in place, then writes dW = dzᵀ.x, dx = dz.W and db = dz summed over
+    rows.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -265,27 +271,31 @@ _ACTS = (None, "relu", "sin", "finer")
 
 def _dense_act(z: np.ndarray, act: str | None, omega0: float, taped: bool):
     """(out, dz): linear's activation of the pre-activation z it owns, and
-    the map from the gradient at out to the gradient at z.  ReLU always
-    overwrites z; sin and FINER do so only when ``taped`` is false, and
-    then dz is None."""
+    the map from the gradient at out to the gradient at z.  ReLU and sin
+    always overwrite z (sin with its phase omega0 z, which it keeps for
+    the backward); FINER does so only when ``taped`` is false, and taped
+    keeps z and rebuilds its phase in the backward.  Untaped, dz is None."""
     if act is None:
         return z, lambda g: g
     if act == "relu":
         out = np.maximum(z, 0.0, out=z)
         return out, lambda g: g * (out > 0.0)
     if act == "finer":
-        a = np.abs(z + 1.0)
-        s = np.multiply(z, a, out=a if taped else z)
+        s = _finer_phase(z, omega0, out=None if taped else z)
     else:
         s = z
-    if omega0 != 1.0:
-        s *= omega0
+        if omega0 != 1.0:
+            s *= omega0
     if not taped:
         return np.sin(s, out=s), None
-    out = np.sin(s)
+    out = np.sin(s, out=s if act == "finer" else None)
 
     def dz(g):
-        c = np.cos(s)
+        if act == "finer":
+            c = _finer_phase(z, omega0)
+            np.cos(c, out=c)
+        else:
+            c = np.cos(s)
         c *= g
         if omega0 != 1.0:
             c *= omega0
@@ -299,6 +309,17 @@ def _dense_act(z: np.ndarray, act: str | None, omega0: float, taped: bool):
         return c
 
     return out, dz
+
+
+def _finer_phase(z: np.ndarray, omega0: float, out: np.ndarray | None = None) -> np.ndarray:
+    """omega0 z |z + 1|, rounded as the shift, abs, mul and scale ops round
+    it, written into ``out`` (which may be z) or a fresh array."""
+    a = z + 1.0
+    np.abs(a, out=a)
+    s = np.multiply(z, a, out=a if out is None else out)
+    if omega0 != 1.0:
+        s *= omega0
+    return s
 
 
 def gabor_floor(dtype) -> float:
@@ -335,20 +356,23 @@ def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Te
     z = (xs @ w.data.T).astype(dt, copy=False).reshape(-1, n, d_out)
     z_re = z[0]
     z_re += b.data
-    # squares, their sum, then the scales: the order the reference graph in the
-    # tests rounds in, so float64 losses agree with it bit for bit
-    expo = np.square(z_re)
+    out = np.empty((2, n, d_out), dtype=z.dtype)
+    re, im = out
+    # the exponent is built in im, with re as scratch: squares, their sum, then
+    # the scales, the order the reference graph in the tests rounds in, so
+    # float64 losses agree with it bit for bit
+    expo = np.square(z_re, out=im)
     if not first:
-        expo += np.square(z[1])
+        expo += np.square(z[1], out=re)
     expo *= -s0 * s0
     if not first:
-        expo += -omega0 * z[1]
+        expo += np.multiply(z[1], -omega0, out=re)
     np.copyto(expo, -np.inf, where=expo < gabor_floor(expo.dtype))
     mag = np.exp(expo, out=expo)
-    ang = omega0 * z_re
-    out = np.empty((2, n, d_out), dtype=z.dtype)
-    np.multiply(mag, np.cos(ang), out=out[0])
-    np.multiply(mag, np.sin(ang, out=ang), out=out[1])
+    ang = np.multiply(z_re, omega0)
+    np.cos(ang, out=re)
+    re *= mag
+    mag *= np.sin(ang, out=ang)
 
     def bwd(g):
         dz = _gabor_dz(g, out, z, omega0, s0)
@@ -370,18 +394,27 @@ def _gabor_dz(g: np.ndarray, out: np.ndarray, z: np.ndarray, omega0: float,
     With out = e^expo [cos, sin] of omega0 z_re, the envelope's gradient
     times the envelope is g_re re + g_im im and the phase's is
     g_im re - g_re im, so neither cos nor sin is kept; both are exactly 0
-    wherever the envelope was floored.
+    wherever the envelope was floored.  Works in the result and two
+    scratch arrays, rounding as omega0 d_ang - k z_re d_expo and
+    -(omega0 + k z_im) d_expo do.
     """
     re, im = out
-    d_expo = g[0] * re
-    d_expo += g[1] * im
-    d_ang = g[1] * re
-    d_ang -= g[0] * im
     k = 2.0 * s0 * s0
     dz = np.empty_like(z)
-    dz[0] = omega0 * d_ang - k * z[0] * d_expo
+    d_expo = np.multiply(g[0], re)
+    scratch = np.multiply(g[1], im)
+    d_expo += scratch
+    d_ang = np.multiply(g[1], re, out=dz[0])
+    d_ang -= np.multiply(g[0], im, out=scratch)
+    d_ang *= omega0
+    np.multiply(z[0], k, out=scratch)
+    scratch *= d_expo
+    d_ang -= scratch
     if len(z) == 2:
-        dz[1] = -(omega0 + k * z[1]) * d_expo
+        d_im = np.multiply(z[1], k, out=dz[1])
+        d_im += omega0
+        np.negative(d_im, out=d_im)
+        d_im *= d_expo
     return dz
 
 
@@ -601,12 +634,18 @@ def _reachable(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> dict[int, np.ndarray] | None:
     """Reverse sweep from a scalar loss; repeat calls recompute identical grads.
 
-    When ``leaves`` is given, every leaf is guaranteed a gradient buffer
-    afterwards (zeros if unreachable from the loss) and a map from leaf
-    id() to gradient array is returned.
+    An interior node's gradient is freed (set to None) as soon as its
+    backward closure has passed it on to its parents, so the sweep holds
+    only the gradients still waiting to be consumed.  Leaves (tensors
+    with no backward closure) keep theirs, and so does any tensor named
+    in ``leaves``.  When ``leaves`` is given, every leaf is guaranteed a
+    gradient buffer afterwards (zeros if unreachable from the loss) and
+    a map from leaf id() to gradient array is returned.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    leaves = None if leaves is None else list(leaves)
+    kept = {id(leaf) for leaf in leaves or ()}
     nodes = _reachable(loss)
     for node in nodes:
         node.grad = None
@@ -614,6 +653,8 @@ def backward(loss: Tensor, leaves: Iterable[Tensor] | None = None) -> dict[int, 
     for node in sorted(nodes, key=lambda n: n._id, reverse=True):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            if id(node) not in kept:
+                node.grad = None
     if leaves is None:
         return None
     out = {}

@@ -522,15 +522,27 @@ def _subnormal_count(a):
 
 def test_wire_float32_step_has_no_subnormals(monkeypatch, rng):
     # the envelope floor keeps every value a matmul reads normal or zero;
-    # the unfused chain yields about 1e5 subnormal activations here
-    handed = []
+    # the unfused chain yields about 1e5 subnormal activations here.  backward
+    # frees interior gradients, so each one is captured as it is written: the
+    # array handed on and the buffer it went into, whose later in-place adds
+    # the check sees too
+    handed, written = [], []
     gabor_dz = T._gabor_dz
 
     def record(*args):
         handed.append(gabor_dz(*args))
         return handed[-1]
 
+    def capturing(accum):
+        def wrapped(t, g):
+            accum(t, g)
+            if t.requires_grad:
+                written.extend((g, t.grad))
+        return wrapped
+
     monkeypatch.setattr(T, "_gabor_dz", record)
+    monkeypatch.setattr(T, "_accum", capturing(T._accum))
+    monkeypatch.setattr(T, "_accum_fresh", capturing(T._accum_fresh))
     n = 4096
     with T.default_dtype("float32"):
         model = build(InrConfig("wire"))
@@ -539,8 +551,9 @@ def test_wire_float32_step_has_no_subnormals(monkeypatch, rng):
     nodes = _reachable(out)
     assert all(t.data.dtype == np.float32 for t in nodes)
     assert len(handed) == len(model.config.hidden)
-    grads = [t.grad for t in nodes if t.grad is not None]
-    for a in [t.data for t in nodes] + grads + handed:
+    # at least two arrays for every gradient the graph held before it freed them
+    assert len(written) >= 2 * sum(t.requires_grad for t in nodes)
+    for a in [t.data for t in nodes] + written + handed:
         assert _subnormal_count(a) == 0
 
 

@@ -1,6 +1,7 @@
 """AdamW update rule and the one-cycle learning-rate curve."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -238,6 +239,32 @@ def test_run_steps_stops_at_non_finite_loss(bad_step, monkeypatch):
     with pytest.raises(ContractError, match=f"non-finite loss at step {bad_step}$"):
         run_steps(opt, loss_at, 5)
     assert len(calls) == bad_step and opt.t == bad_step
+
+
+def test_run_steps_frees_each_graph_and_gradient(rng, monkeypatch):
+    # each step's graph is gone before the AdamW step and the next forward,
+    # and the loop returns with no gradient held
+    target = rng.standard_normal(4)
+    a, b = leaf(rng.standard_normal(4)), leaf(rng.standard_normal(4))
+    graphs = []
+    step = AdamW.step
+
+    def checked(self, lr=None):
+        assert all(ref() is None for ref in graphs)
+        assert a.grad is not None and b.grad is not None
+        step(self, lr)
+
+    def loss_at(k):
+        assert all(ref() is None for ref in graphs)
+        assert a.grad is None and b.grad is None
+        diff = a - Tensor(target)
+        graphs.append(weakref.ref(diff.data))
+        return diff.square().sum() + b.square().sum()
+
+    monkeypatch.setattr(AdamW, "step", checked)
+    run_steps(AdamW([("a", a), ("b", b)], lr=0.1), loss_at, 3)
+    assert len(graphs) == 3 and all(ref() is None for ref in graphs)
+    assert a.grad is None and b.grad is None
 
 
 # -- one-cycle schedule ----------------------------------------------------------

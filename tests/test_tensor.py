@@ -262,10 +262,10 @@ def test_dense_untaped_matches_taped(act, rng):
     np.testing.assert_array_equal(bare.data, taped.data)
 
 
-@pytest.mark.parametrize("act, bound", [("relu", 0.05), ("sin", 1.05), ("finer", 2.05)])
+@pytest.mark.parametrize("act, bound", [("relu", 0.05), ("sin", 1.05), ("finer", 1.05)])
 def test_dense_node_holds_at_most_its_bound(act, bound, rng):
     # beyond its output, a taped (4096, 128) hidden layer keeps nothing for
-    # ReLU, omega0 z for sin, and z and omega0 z |z + 1| for FINER
+    # ReLU, omega0 z for sin, and z for FINER (its backward rebuilds the phase)
     x, w, b = (Tensor(rng.standard_normal(s) / 8.0, requires_grad=True)
                for s in ((4096, 128), (128, 128), (128,)))
     tracemalloc.start()
@@ -335,6 +335,30 @@ def test_gabor_layer_float32_grads_match_float64(first, rng):
 
     for g32, g64 in zip(grads(np.float32), grads(np.float64)):
         assert np.abs(g32 - g64).max() <= 2e-5 * np.abs(g64).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gabor_layer_works_in_place(dtype, rng):
+    # a taped (4096, 128) hidden layer allocates z, the output and one angle
+    # array in its forward, and the result and two scratch arrays in _gabor_dz
+    x, w, b = (Tensor((rng.standard_normal(s) / 8.0).astype(dtype), requires_grad=True)
+               for s in ((2, 4096, 128), (128, 128), (128,)))
+    g = rng.standard_normal((2, 4096, 128)).astype(dtype)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.gabor_layer(x, w, b, 20.0, 10.0)
+        forward_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = out.data.nbytes
+    assert forward_peak <= 2.55 * size, forward_peak / size
+    assert backward_peak <= 2.05 * size, backward_peak / size
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
 def test_gabor_layer_shape_errors():
@@ -589,6 +613,24 @@ def test_backward_idempotent():
     loss2 = (x * x).sum()
     backward(loss2)
     np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_frees_interior_gradients(rng):
+    # an interior node's gradient is dropped once its closure has passed it
+    # on; leaves, and interior tensors named in leaves=, keep theirs
+    x, w, b = (leaf(rng.standard_normal(s)) for s in ((5, 3), (4, 3), (4,)))
+    h = T.linear(x, w, b, act="sin", omega0=3.0)
+    loss = (h * h).mean()
+    grads = backward(loss, leaves=[x, w, b])
+    interior = [t for t in T._reachable(loss) if t._backward is not None]
+    assert len(interior) == 3 and all(t.grad is None for t in interior)
+    assert all(t.grad is not None for t in (x, w, b))
+    first = [grads[id(t)].copy() for t in (x, w, b)]
+    again = backward(loss, leaves=[x, w, b, h])
+    for t, want in zip((x, w, b), first):
+        np.testing.assert_array_equal(again[id(t)], want)
+    np.testing.assert_allclose(h.grad, 2.0 * h.data / h.size, rtol=1e-15)
+    assert loss.grad is None
 
 
 def test_backward_requires_scalar():

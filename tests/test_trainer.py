@@ -1,6 +1,7 @@
 """Single-clip fitting loop, trace analysis, and the comparison harness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ def test_fit_drives_loss_down_on_silence(arch):
     tc = TrainConfig(steps=200, lr=lrs.get(arch), lam_f=0.0)
     res = fit_inr(AudioClip(22050, np.zeros(256)), cfg, tc)
     assert res.loss_trace.min() < 2e-2, f"{arch} floor {res.loss_trace.min():.3e}"
+
+
+@pytest.mark.parametrize("arch", ["kan", "wire"])
+def test_fit_peak_memory_does_not_grow_with_steps(arch):
+    # each step's graph and gradients are freed before the next forward, so
+    # three steps peak where one does
+    clip = toy_clip(4096)
+    fit_inr(clip, InrConfig(arch), TrainConfig(steps=1))   # warm the loss caches
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            res = fit_inr(clip, InrConfig(arch), TrainConfig(steps=steps))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is None for p in res.model.params)
+        return peak
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.05 * one, three / one
 
 
 def test_evaluate_matches_fit_metrics():
