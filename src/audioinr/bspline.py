@@ -188,7 +188,11 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     at a time; the recursion runs in float64, the buffer and the matmuls
     in x's dtype.  The node keeps x, the parameters and eff; its
     backward rebuilds each block's bases (with their derivatives when x
-    needs a gradient), the sigmoid and the clamp mask.
+    needs a gradient), the sigmoid and the clamp mask, and skips the
+    bases when neither x nor the spline parameters need a gradient.  The
+    sigmoid, the SiLU and its derivative are formed a block at a time
+    too, so beyond the matmul operands and results (the SiLU array and
+    dx) no (n, d_in) temporary exists.
     """
     x, w_b, coeffs = _as_tensor(x), _as_tensor(w_b), _as_tensor(coeffs)
     w_s = None if w_s is None else _as_tensor(w_s)
@@ -205,9 +209,15 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     xd = x.data
     eff = coeffs.data if w_s is None else w_s.data[..., None] * coeffs.data
     eff2 = eff.reshape(d_out, d_in * nb)
-    out = (xd * _sigmoid(xd)) @ w_b.data.T
 
     rows = max(1, BUDGET // (d_in * nb))
+    blocks = [(s, min(s + rows, n)) for s in range(0, n, rows)]
+    silu = np.empty_like(xd)
+    for s, e in blocks:
+        np.multiply(xd[s:e], _sigmoid(xd[s:e]), out=silu[s:e])
+    out = silu @ w_b.data.T
+    del silu
+
     buf = np.zeros(min(rows, n) * d_in * nb, dtype=xd.dtype)
     offsets = np.arange(min(rows, n) * d_in) * nb
 
@@ -221,35 +231,46 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
         dense = buf[:cell.size * nb]
         dense.fill(0.0)
         for p, col in enumerate(band):
-            dense[idx + p] = col
+            dense[p:][idx] = col
         return idx, dense.reshape(-1, d_in * nb), dband
 
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
+    for s, e in blocks:
         out[s:e] += bases(s, e, False)[1] @ eff2.T
 
     def bwd(g):
-        sig = _sigmoid(xd)
-        if w_b.requires_grad:
-            _accum_fresh(w_b, g.T @ (xd * sig))
-        if x.requires_grad:
-            dx = (g @ w_b.data) * (sig * (1.0 + xd * (1.0 - sig)))
         need_eff = coeffs.requires_grad or (w_s is not None and w_s.requires_grad)
+        silu = np.empty_like(xd) if w_b.requires_grad else None
+        dx = g @ w_b.data if x.requires_grad else None
         d_eff = np.zeros_like(eff2) if need_eff else None
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
-            idx, dense, dband = bases(s, e, x.requires_grad)
+        for s, e in blocks:
+            xs = xd[s:e]
+            if silu is not None or dx is not None:
+                sig = _sigmoid(xs)
+            if silu is not None:
+                np.multiply(xs, sig, out=silu[s:e])
+            if dx is not None:
+                # silu'(x) = sig * (1 + x * (1 - sig)), rounded in that order
+                t = 1.0 - sig
+                t *= xs
+                t += 1.0
+                t *= sig
+                dx[s:e] *= t
+            if not (need_eff or dx is not None):
+                continue
+            idx, dense, dband = bases(s, e, dx is not None)
             gs = g[s:e]
             if need_eff:
                 d_eff += gs.T @ dense
-            if x.requires_grad:
+            if dx is not None:
                 gflat = (gs @ eff2).reshape(-1)
                 acc = gflat[idx] * dband[0]
                 for p in range(1, grid.order + 1):
-                    acc += gflat[idx + p] * dband[p]
-                inside = (xd[s:e] >= grid.lo) & (xd[s:e] <= grid.hi)
+                    acc += gflat[p:][idx] * dband[p]
+                inside = (xs >= grid.lo) & (xs <= grid.hi)
                 dx[s:e] += acc.reshape(e - s, d_in) * inside
-        if x.requires_grad:
+        if silu is not None:
+            _accum_fresh(w_b, g.T @ silu)
+        if dx is not None:
             _accum_fresh(x, dx)
         if need_eff:
             d_eff = d_eff.reshape(eff.shape)

@@ -264,16 +264,23 @@ def test_kan_layer_matches_unfused_graph(order, scale_spline, blocks, rng):
         assert_rel_close(g, w, 1e-12)
 
 
-def test_kan_layer_graph_holds_no_per_point_state(rng):
-    # paper-scale widths: the node may keep x, the parameters and eff, but
-    # no cell, band, sigmoid or mask per (row, input) point
+def paper_kan_case(rng, dtype=np.float64):
+    """Leaves (x, w_b, w_s, coeffs) and the grid of a KAN layer at the
+    paper's first hidden widths, 48 -> 24, over 16384 rows."""
     n, d_in, d_out = 16384, 48, 24
     grid = make_grid(10, 2)
-    x = Tensor(rng.uniform(-1.2, 1.2, (n, d_in)), requires_grad=True)
-    w_b, w_s = (Tensor(rng.standard_normal((d_out, d_in)), requires_grad=True)
-                for _ in range(2))
-    coeffs = Tensor(rng.standard_normal((d_out, d_in, grid.n_bases)), requires_grad=True)
-    leaves = [x, w_b, w_s, coeffs]
+    x = rng.uniform(-1.2, 1.2, (n, d_in))
+    w_b, w_s = (rng.standard_normal((d_out, d_in)) for _ in range(2))
+    coeffs = rng.standard_normal((d_out, d_in, grid.n_bases))
+    return [Tensor(a.astype(dtype), requires_grad=True) for a in (x, w_b, w_s, coeffs)], grid
+
+
+def test_kan_layer_graph_holds_no_per_point_state(rng):
+    # the node may keep x, the parameters and eff, but no cell, band,
+    # sigmoid or mask per (row, input) point
+    leaves, grid = paper_kan_case(rng)
+    x = leaves[0]
+    n, d_out = x.shape[0], leaves[1].shape[0]
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -288,6 +295,25 @@ def test_kan_layer_graph_holds_no_per_point_state(rng):
     second = list(backward(loss, leaves=leaves).values())
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kan_layer_backward_peak_memory(dtype, rng):
+    # the backward holds its (n, d_in) SiLU and dx, the (n, d_out) upstream
+    # gradient and one row block's temporaries; the sigmoid, the SiLU
+    # derivative and their products are never (n, d_in) arrays
+    leaves, grid = paper_kan_case(rng, dtype)
+    x = leaves[0]
+    out = kan_layer(*leaves, grid)
+    loss = (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        backward(loss, leaves=leaves)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * x.data.nbytes
 
 
 def test_sigmoid_matches_expit():

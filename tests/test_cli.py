@@ -1,10 +1,12 @@
 """End-to-end command-line runs against temp files."""
 
+import ctypes
 import glob
 import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -275,10 +277,93 @@ def test_runtime_paths_import_no_scipy(tmp_path):
         assert rc == 0, rc
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
+    assert run_python(script) == "[]"
+
+
+def run_python(script: str, *args: str) -> str:
+    """Run script in a fresh interpreter that imports this audioinr; returns
+    the last line of its standard output."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(audioinr.__file__)))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == "[]"
+    return run.stdout.strip().splitlines()[-1]
+
+
+# -- allocator policy ------------------------------------------------------------
+
+
+class MalloptRecorder:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_main_sets_both_malloc_thresholds(monkeypatch, capsys):
+    mallopt, opened = MalloptRecorder(), []
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: opened.append(name) or types.SimpleNamespace(mallopt=mallopt))
+    assert main(["paramcount"]) == 0
+    assert opened == ["libc.so.6"]
+    # M_TRIM_THRESHOLD to 1 GiB, M_MMAP_THRESHOLD to 64 MiB
+    assert mallopt.calls == [(-1, 1 << 30), (-3, 64 << 20)]
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "no-mallopt"])
+def test_main_runs_without_mallopt(libc, monkeypatch, capsys):
+    def cdll(name):
+        if libc == "unloadable":
+            raise OSError(f"{name}: cannot open shared object file")
+        return types.SimpleNamespace()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert main(["paramcount", "--arch", "siren"]) == 0
+    assert int(capsys.readouterr().out) == param_count(InrConfig("siren"))
+
+
+def test_import_sets_no_allocator_policy():
+    script = textwrap.dedent("""
+        import ctypes
+        calls = []
+        ctypes.CDLL = lambda *a, **k: calls.append(a)
+        import audioinr, audioinr.cli
+        print(calls)
+    """)
+    assert run_python(script) == "[]"
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL("libc.so.6"), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="libc.so.6 has no mallopt (not glibc)")
+def test_repeated_fit_faults_in_no_freed_heap(tmp_path):
+    # the second of two CLI fits in one process reuses the first one's
+    # freed heap; with the policy replaced by a no-op, glibc returns that
+    # memory to the OS after each step and the next step faults it in
+    clip, model = str(tmp_path / "clip.wav"), str(tmp_path / "m.bin")
+    script = textwrap.dedent(f"""
+        import contextlib, io, resource, sys
+        from audioinr import cli
+        from audioinr.toydata import sine_mixture
+        from audioinr.wavio import AudioClip, wav_write
+        if sys.argv[1] == "off":
+            cli._keep_freed_heap = lambda: None
+        wav_write({clip!r}, AudioClip(22050, sine_mixture(4096)))
+        argv = ["fit", {clip!r}, "--out", {model!r}, "--arch", "siren", "--steps", "2"]
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    off, on = (int(run_python(script, arm)) for arm in ("off", "on"))
+    assert on <= 0.1 * off, (on, off)
