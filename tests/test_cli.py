@@ -295,23 +295,19 @@ def run_python(script: str, *args: str) -> str:
 # -- allocator policy ------------------------------------------------------------
 
 
-class MalloptRecorder:
-    def __init__(self):
-        self.calls = []
+def test_main_sets_both_malloc_thresholds(monkeypatch, capsys):
+    opened, calls = [], []
 
-    def __call__(self, param, value):
-        self.calls.append((param, value))
+    def mallopt(param, value):
+        calls.append((param, value))
         return 1
 
-
-def test_main_sets_both_malloc_thresholds(monkeypatch, capsys):
-    mallopt, opened = MalloptRecorder(), []
     monkeypatch.setattr(cli.ctypes, "CDLL",
                         lambda name: opened.append(name) or types.SimpleNamespace(mallopt=mallopt))
     assert main(["paramcount"]) == 0
     assert opened == ["libc.so.6"]
     # M_TRIM_THRESHOLD to 1 GiB, M_MMAP_THRESHOLD to 64 MiB
-    assert mallopt.calls == [(-1, 1 << 30), (-3, 64 << 20)]
+    assert calls == [(-1, 1 << 30), (-3, 64 << 20)]
 
 
 @pytest.mark.parametrize("libc", ["unloadable", "no-mallopt"])
