@@ -5,17 +5,21 @@ Every config field is exposed as a flag; fixed seeds make identical
 flag sets reproduce identical outputs.  Exit codes: 0 success, 1 usage
 error, 2 runtime failure.
 
-``main`` first sets the process's allocator policy.  Each training step
-frees its tape before the next forward, and with glibc's defaults much
-of that memory goes back to the OS: large arrays are mappings of their
-own, unmapped on free, and the top of the heap is trimmed.  The next
-step then faults those pages in again.  So, where ``libc.so.6`` has
-``mallopt``, ``main`` raises ``M_TRIM_THRESHOLD`` to 1 GiB and
-``M_MMAP_THRESHOLD`` to 64 MiB, and each step reuses the heap the last
-one freed.  The cost is that resident memory stays at its high-water
-mark instead of shrinking between steps.  Elsewhere it does nothing.
-Importing the package sets nothing; allocation does not change the
-arithmetic, so outputs are the same either way.
+Before a command that trains (fit, compare, meta-train), ``main`` sets
+the process's allocator policy.  Each training step frees its tape
+before the next forward, and with glibc's defaults much of that memory
+goes back to the OS: large arrays are mappings of their own, unmapped
+on free, and the top of the heap is trimmed.  The next step then faults
+those pages in again.  So, where ``libc.so.6`` has ``mallopt``, ``main``
+raises ``M_TRIM_THRESHOLD`` to 1 GiB and ``M_MMAP_THRESHOLD`` to 64 MiB,
+and each step reuses the heap the last one freed.  The cost is that
+resident memory stays at its high-water mark instead of shrinking
+between steps.  Elsewhere it does nothing.  The other commands take no
+steps and leave glibc's defaults: ``reconstruct``, which renders
+without a tape, ran faster on average under the policy but its time
+spread about twice as wide from one process to the next.  Importing
+the package sets nothing; allocation does not change the arithmetic,
+so outputs are the same either way.
 """
 
 from __future__ import annotations
@@ -315,14 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TRAINING_COMMANDS = (_cmd_fit, _cmd_compare, _cmd_meta_train)
+
+
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             parser.print_help()
             return 1
+        if args.func in _TRAINING_COMMANDS:
+            _keep_freed_heap()
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

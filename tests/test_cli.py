@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import audioinr
-from audioinr import cli
+from audioinr import cli, fewsound
 from audioinr.cli import main
 from audioinr.inr import InrConfig, param_count
+from audioinr.serialize import save_model
 from audioinr.toydata import sine_mixture, toy_clips
 from audioinr.wavio import AudioClip, wav_read, wav_write
 
@@ -263,7 +264,7 @@ def test_runtime_paths_import_no_scipy(tmp_path):
         import sys
         import numpy as np
         import audioinr
-        from audioinr import cli
+        from audioinr import cli, fewsound
         from audioinr.toydata import sine_mixture
         from audioinr.wavio import AudioClip, resample, wav_read, wav_write
         src = AudioClip(44100, sine_mixture(8192))
@@ -295,31 +296,49 @@ def run_python(script: str, *args: str) -> str:
 # -- allocator policy ------------------------------------------------------------
 
 
-def test_main_sets_both_malloc_thresholds(monkeypatch, capsys):
-    opened, calls = [], []
+def record_mallopt(monkeypatch) -> list:
+    """Stub ctypes.CDLL in cli; returns the list of (name,) loads and
+    (param, value) mallopt calls made through it."""
+    calls = []
 
     def mallopt(param, value):
         calls.append((param, value))
         return 1
 
     monkeypatch.setattr(cli.ctypes, "CDLL",
-                        lambda name: opened.append(name) or types.SimpleNamespace(mallopt=mallopt))
-    assert main(["paramcount"]) == 0
-    assert opened == ["libc.so.6"]
+                        lambda name: calls.append((name,)) or types.SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+def test_training_command_sets_both_malloc_thresholds(tmp_path, clip_path, monkeypatch, capsys):
+    calls = record_mallopt(monkeypatch)
+    assert main(["fit", clip_path, "--out", str(tmp_path / "m.bin")] + FIT_FAST) == 0
     # M_TRIM_THRESHOLD to 1 GiB, M_MMAP_THRESHOLD to 64 MiB
-    assert calls == [(-1, 1 << 30), (-3, 64 << 20)]
+    assert calls == [("libc.so.6",), (-1, 1 << 30), (-3, 64 << 20)]
+
+
+def test_rendering_commands_set_no_allocator_policy(tmp_path, clip_path, monkeypatch, capsys):
+    cfg = fewsound.FewSoundConfig(InrConfig("siren", hidden=(4,), encoding_length=3),
+                                  window=64, conv0_channels=2, encoder_channels=(2,),
+                                  embed_dim=4, weight_enc_hidden=4, hyper_hidden=(8,))
+    state = str(tmp_path / "state.bin")
+    save_model(state, fewsound.build_state(cfg))
+    calls = record_mallopt(monkeypatch)
+    assert main(["paramcount"]) == 0
+    assert main(["reconstruct", state, clip_path, "--out", str(tmp_path / "rec.wav")]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("libc", ["unloadable", "no-mallopt"])
-def test_main_runs_without_mallopt(libc, monkeypatch, capsys):
+def test_main_runs_without_mallopt(libc, tmp_path, clip_path, monkeypatch, capsys):
     def cdll(name):
         if libc == "unloadable":
             raise OSError(f"{name}: cannot open shared object file")
         return types.SimpleNamespace()
 
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-    assert main(["paramcount", "--arch", "siren"]) == 0
-    assert int(capsys.readouterr().out) == param_count(InrConfig("siren"))
+    assert main(["fit", clip_path, "--out", str(tmp_path / "m.bin")] + FIT_FAST) == 0
+    assert "saved" in capsys.readouterr().out
 
 
 def test_import_sets_no_allocator_policy():
@@ -348,7 +367,7 @@ def test_repeated_fit_faults_in_no_freed_heap(tmp_path):
     clip, model = str(tmp_path / "clip.wav"), str(tmp_path / "m.bin")
     script = textwrap.dedent(f"""
         import contextlib, io, resource, sys
-        from audioinr import cli
+        from audioinr import cli, fewsound
         from audioinr.toydata import sine_mixture
         from audioinr.wavio import AudioClip, wav_write
         if sys.argv[1] == "off":
