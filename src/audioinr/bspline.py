@@ -20,10 +20,11 @@ against the flattened effective coefficients, so the dense
 x, the parameters and the flattened effective coefficients ``eff``,
 nothing per (row, input) point: the backward pass recomputes each
 block's cells, bands and derivative bands, the sigmoid and the clamp
-mask, which come out bitwise equal to the forward's.  The
-sigmoid is ``0.5 + 0.5 tanh(x / 2)``, computed in place in x's dtype:
-it is within 2.2e-16 of the logistic function in float64 and, unlike
-``1 / (1 + exp(-x))``, overflows at no finite input.
+mask, which come out bitwise equal to the forward's.  Its one
+(n, d_in) array holds the SiLU for w_b's gradient and then the input
+gradient.  The sigmoid is ``0.5 + 0.5 tanh(x / 2)``, computed in place
+in x's dtype: it is within 2.2e-16 of the logistic function in float64
+and, unlike ``1 / (1 + exp(-x))``, overflows at no finite input.
 """
 
 from __future__ import annotations
@@ -191,8 +192,9 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     needs a gradient), the sigmoid and the clamp mask, and skips the
     bases when neither x nor the spline parameters need a gradient.  The
     sigmoid, the SiLU and its derivative are formed a block at a time
-    too, so beyond the matmul operands and results (the SiLU array and
-    dx) no (n, d_in) temporary exists.
+    too.  The backward's one (n, d_in) array holds the SiLU until w_b's
+    gradient ``gᵀ silu`` is taken, then ``dx = g @ w_b`` in its place;
+    it is built only when x or w_b needs a gradient.
     """
     x, w_b, coeffs = _as_tensor(x), _as_tensor(w_b), _as_tensor(coeffs)
     w_s = None if w_s is None else _as_tensor(w_s)
@@ -200,6 +202,8 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
     if x.data.ndim != 2:
         raise ShapeError(f"kan_layer input must be 2-D, got shape {x.shape}")
     n, d_in = x.shape
+    if d_in == 0:
+        raise ShapeError(f"kan_layer input needs at least one column, got shape {x.shape}")
     d_out = w_b.shape[0]
     if (w_b.shape != (d_out, d_in) or coeffs.shape != (d_out, d_in, nb)
             or (w_s is not None and w_s.shape != (d_out, d_in))):
@@ -239,24 +243,34 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
 
     def bwd(g):
         need_eff = coeffs.requires_grad or (w_s is not None and w_s.requires_grad)
-        silu = np.empty_like(xd) if w_b.requires_grad else None
-        dx = g @ w_b.data if x.requires_grad else None
+        # one (n, d_in) buffer holds the SiLU until w_b's gradient is taken,
+        # then dx = g @ w_b, where that product has x's dtype
+        work = None
+        if w_b.requires_grad:
+            work = np.empty((n, d_in), dtype=xd.dtype)
+            for s, e in blocks:
+                np.multiply(xd[s:e], _sigmoid(xd[s:e]), out=work[s:e])
+            _accum_fresh(w_b, g.T @ work)
+        dx = None
+        if x.requires_grad:
+            if work is not None and np.result_type(g, w_b.data) == xd.dtype:
+                dx = np.matmul(g, w_b.data, out=work)
+            else:
+                dx = g @ w_b.data
+        del work
+        if not (need_eff or dx is not None):
+            return
         d_eff = np.zeros_like(eff2) if need_eff else None
         for s, e in blocks:
             xs = xd[s:e]
-            if silu is not None or dx is not None:
-                sig = _sigmoid(xs)
-            if silu is not None:
-                np.multiply(xs, sig, out=silu[s:e])
             if dx is not None:
+                sig = _sigmoid(xs)
                 # silu'(x) = sig * (1 + x * (1 - sig)), rounded in that order
                 t = 1.0 - sig
                 t *= xs
                 t += 1.0
                 t *= sig
                 dx[s:e] *= t
-            if not (need_eff or dx is not None):
-                continue
             idx, dense, dband = bases(s, e, dx is not None)
             gs = g[s:e]
             if need_eff:
@@ -268,8 +282,6 @@ def kan_layer(x: Tensor, w_b: Tensor, w_s: Tensor | None, coeffs: Tensor,
                     acc += gflat[p:][idx] * dband[p]
                 inside = (xs >= grid.lo) & (xs <= grid.hi)
                 dx[s:e] += acc.reshape(e - s, d_in) * inside
-        if silu is not None:
-            _accum_fresh(w_b, g.T @ silu)
         if dx is not None:
             _accum_fresh(x, dx)
         if need_eff:

@@ -299,9 +299,10 @@ def test_kan_layer_graph_holds_no_per_point_state(rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_kan_layer_backward_peak_memory(dtype, rng):
-    # the backward holds its (n, d_in) SiLU and dx, the (n, d_out) upstream
-    # gradient and one row block's temporaries; the sigmoid, the SiLU
-    # derivative and their products are never (n, d_in) arrays
+    # the backward holds one (n, d_in) buffer (the SiLU, then dx), the
+    # (n, d_out) upstream gradient and one row block's temporaries; the
+    # sigmoid, the SiLU derivative and their products are never (n, d_in)
+    # arrays
     leaves, grid = paper_kan_case(rng, dtype)
     x = leaves[0]
     out = kan_layer(*leaves, grid)
@@ -313,7 +314,47 @@ def test_kan_layer_backward_peak_memory(dtype, rng):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * x.data.nbytes
+    assert peak <= 2.0 * x.data.nbytes
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+@pytest.mark.parametrize("frozen", [(0,), (1,), (2, 3), (0, 1)],
+                         ids=["x", "w_b", "w_s+coeffs", "x+w_b"])
+def test_kan_layer_frozen_leaves(order, frozen, rng):
+    # each gradient that is still asked for comes out as in the all-leaves run
+    n = 2 * kan_rows(order) + 37
+    leaves, grid, up = kan_case(rng, n, order, True)
+    _, all_grads = out_and_grads(kan_layer, leaves, grid, up)
+
+    def part():
+        return [Tensor(t.data, requires_grad=i not in frozen) for i, t in enumerate(leaves)]
+
+    _, got = out_and_grads(kan_layer, part(), grid, up)
+    _, want = out_and_grads(unfused_kan_layer, part(), grid, up)
+    for i in range(len(leaves)):
+        if i in frozen:
+            assert got[i] is None
+        else:
+            assert np.array_equal(got[i], all_grads[i])
+            assert_rel_close(got[i], want[i], 1e-12)
+
+
+def test_kan_layer_spline_only_backward_builds_no_row_array(rng):
+    # with neither x nor w_b needing a gradient, the backward allocates
+    # nothing of shape (n, d_in), only eff-sized arrays and block temporaries
+    leaves, grid = paper_kan_case(rng)
+    x, w_b = Tensor(leaves[0].data), Tensor(leaves[1].data)
+    out = kan_layer(x, w_b, *leaves[2:], grid)
+    g = rng.standard_normal(out.shape)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.data.nbytes
+    assert all(t.grad is not None for t in leaves[2:])
 
 
 def test_sigmoid_matches_expit():
@@ -360,3 +401,10 @@ def test_kan_layer_shape_checks(rng):
         kan_layer(x, w_b, w_s, coeffs, make_grid(KAN_GRID + 1, 2))
     with pytest.raises(ShapeError):
         kan_layer(x, w_b, transpose(w_s), coeffs, grid)
+
+
+def test_kan_layer_zero_width_input_raises_shape_error():
+    grid = make_grid(KAN_GRID, 2)
+    with pytest.raises(ShapeError, match="at least one column"):
+        kan_layer(Tensor(np.zeros((10, 0))), Tensor(np.zeros((KAN_D_OUT, 0))), None,
+                  Tensor(np.zeros((KAN_D_OUT, 0, grid.n_bases))), grid)
