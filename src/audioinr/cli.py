@@ -20,6 +20,11 @@ without a tape, ran faster on average under the policy but its time
 spread about twice as wide from one process to the next.  Importing
 the package sets nothing; allocation does not change the arithmetic,
 so outputs are the same either way.
+
+``reconstruct`` renders its windows on one thread per usable CPU, with
+numpy's OpenBLAS held to one thread while they run
+(``fewsound.reconstruct_long``), so its output does not depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations

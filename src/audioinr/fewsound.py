@@ -21,13 +21,18 @@ final window right-aligned) and blended with a half-sample-offset Hann
 crossfade normalized to sum to one at every sample: each window's weight
 is the crossfade divided by a 1-D per-sample sum of all crossfades, so
 no (windows x samples) matrix is built.  Windows render without a tape
-(``tensor.no_grad``), so memory holds the model, the output, the
-normalizer and one window's working set.
+(``tensor.no_grad``) on one thread per CPU, with BLAS held to one thread,
+so memory holds the model, the output, the normalizer and one window's
+working set per worker.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -333,6 +338,56 @@ def overlap_add_weights(n: int, window: int) -> tuple[list[int], np.ndarray]:
     return starts, norm
 
 
+# (set, get) thread-count entry points of the OpenBLAS builds numpy ships:
+# scipy-openblas (numpy >= 2), the 64-bit-int build, and a plain one
+_OPENBLAS_THREADS = (("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+                     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+                     ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def _openblas_threads():
+    """(set, get) for the OpenBLAS numpy loaded, or None where none is found."""
+    try:
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:                 # numpy < 2
+            from numpy.core import _multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)   # dlsym also searches its dependencies
+    except (ImportError, OSError):
+        return None
+    for set_name, get_name in _OPENBLAS_THREADS:
+        set_fn, get_fn = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if set_fn is not None and get_fn is not None:
+            set_fn.argtypes, set_fn.restype = (ctypes.c_int,), None
+            get_fn.argtypes, get_fn.restype = (), ctypes.c_int
+            return set_fn, get_fn
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread inside the block, restoring its
+    previous count on exit; yields False (and sets nothing) where no
+    OpenBLAS thread control is found."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    set_threads, get_threads = blas
+    prev = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(prev)
+
+
+def _render_workers() -> int:
+    """One rendering thread per CPU this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
 def reconstruct_long(state: FewSoundState | None, clip,
                      render_fn: Callable[[np.ndarray], np.ndarray] | None = None,
                      window: int | None = None) -> np.ndarray:
@@ -340,10 +395,21 @@ def reconstruct_long(state: FewSoundState | None, clip,
 
     ``render_fn`` maps one window of true samples to its rendering; by
     default each window is adapted and rendered with the meta-trained
-    state, without a tape, through adapted_flat and
-    inr.forward_from_flat as in meta_train.  Output length equals input length; short
-    inputs are padded to one window and trimmed afterwards.  Besides the
-    output, memory holds one window's working set and the 1-D normalizer.
+    state through adapted_flat and inr.forward_from_flat, as in
+    meta_train.  Output length equals input length; short inputs are
+    padded to one window and trimmed afterwards.
+
+    Windows render on a thread pool, one worker per usable CPU and at
+    most two windows per worker in flight, and are blended in window
+    order.  While the pool runs, numpy's OpenBLAS is held to one thread
+    (its count is restored on return or raise), so the output does not
+    depend on BLAS's thread count; where no OpenBLAS thread control is
+    found, the pool has one worker.  The calling thread holds one
+    ``tensor.no_grad`` around the pool, so ``render_fn``, custom or
+    default, runs from worker threads without a tape; an error it raises
+    is re-raised here.  Both the pin and ``no_grad`` are process-wide, so
+    calls must not overlap in one process.  Besides the output, memory
+    holds the 1-D normalizer and one window's working set per worker.
     """
     x = np.asarray(getattr(clip, "samples", clip), dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
@@ -352,17 +418,8 @@ def reconstruct_long(state: FewSoundState | None, clip,
         window = state.config.window
     if window is None:
         raise ContractError("pass a window length when no state is given")
-    if render_fn is None:
-        if state is None:
-            raise ContractError("either a trained state or a render_fn is required")
-        times = np.linspace(-1.0, 1.0, window).astype(state.theta.data.dtype, copy=False)
-        with T.no_grad():
-            e_t = encode_weights(state)
-
-        def render_fn(seg: np.ndarray) -> np.ndarray:
-            with T.no_grad():
-                return inr.forward_from_flat(state.config.target, adapted_flat(state, seg, e_t),
-                                             times, state.target_embedding).data
+    if render_fn is None and state is None:
+        raise ContractError("either a trained state or a render_fn is required")
 
     n = x.size
     starts, norm = overlap_add_weights(n, window)
@@ -370,9 +427,36 @@ def reconstruct_long(state: FewSoundState | None, clip,
         x = np.pad(x, (0, window - n))
     fade = crossfade_window(window)
     out = np.zeros(norm.size)
-    for s in starts:
-        y = np.asarray(render_fn(x[s:s + window]), dtype=np.float64)
+
+    def blend(s: int, rendering) -> None:
+        y = np.asarray(rendering.result(), dtype=np.float64)
         if y.shape != (window,):
             raise ShapeError(f"render_fn returned shape {y.shape}, want ({window},)")
         out[s:s + window] += y * (fade / norm[s:s + window])
+
+    # imported here: concurrent.futures loads logging, a few ms that every
+    # process importing audioinr would pay otherwise
+    from concurrent.futures import ThreadPoolExecutor
+
+    with T.no_grad(), _one_blas_thread() as pinned:
+        if render_fn is None:
+            times = np.linspace(-1.0, 1.0, window).astype(state.theta.data.dtype, copy=False)
+            e_t = encode_weights(state)
+
+            def render_fn(seg: np.ndarray) -> np.ndarray:
+                return inr.forward_from_flat(state.config.target, adapted_flat(state, seg, e_t),
+                                             times, state.target_embedding).data
+
+        workers = _render_workers() if pinned else 1
+        pool = ThreadPoolExecutor(workers)
+        in_flight = deque()
+        try:
+            for s in starts:
+                in_flight.append((s, pool.submit(render_fn, x[s:s + window])))
+                if len(in_flight) == 2 * workers:
+                    blend(*in_flight.popleft())
+            while in_flight:
+                blend(*in_flight.popleft())
+        finally:
+            pool.shutdown(cancel_futures=True)
     return out[:n]

@@ -581,7 +581,10 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
     if t_out < 1:
         raise ShapeError(f"conv1d kernel {k} does not fit input length {t} (pad {padding})")
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding))) if padding else x.data
+    xp = x.data
+    if padding:
+        xp = np.zeros((c_in, t_pad), x.data.dtype)
+        xp[:, padding:padding + t] = x.data
     # patches[ci*k + j, t] = xp[ci, j + stride*t], copied once from a strided
     # view so that both products below run in BLAS
     s_c, s_t = xp.strides

@@ -293,20 +293,53 @@ def run_python(script: str, *args: str) -> str:
     return run.stdout.strip().splitlines()[-1]
 
 
+def test_reconstruct_output_ignores_blas_thread_count(monkeypatch):
+    # a default-width SIREN target with a non-zero update head: with BLAS
+    # free to split its products, 1 and 2 threads rounded differently
+    script = textwrap.dedent("""
+        import hashlib
+        import numpy as np
+        from audioinr import fewsound
+        from audioinr.inr import InrConfig
+        cfg = fewsound.FewSoundConfig(InrConfig("siren"), window=1024, embed_dim=16,
+                                      conv0_channels=4, encoder_channels=(4, 4),
+                                      weight_enc_hidden=64, hyper_hidden=(64,))
+        state = fewsound.build_state(cfg)
+        rng = np.random.Generator(np.random.PCG64(4))
+        _, head = state.hyper[-2]
+        head.data = 1e-3 * rng.standard_normal(head.data.shape)
+        out = fewsound.reconstruct_long(state, rng.uniform(-0.5, 0.5, 3000))
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+    """)
+    digests = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        digests.append(run_python(script))
+    assert digests[0] == digests[1]
+
+
 # -- allocator policy ------------------------------------------------------------
 
 
 def record_mallopt(monkeypatch) -> list:
-    """Stub ctypes.CDLL in cli; returns the list of (name,) loads and
-    (param, value) mallopt calls made through it."""
+    """Stub libc.so.6 behind ctypes.CDLL in cli; returns the list of its
+    (name,) loads and the (param, value) mallopt calls made through it.
+    Other libraries load as usual: reconstruct loads numpy's to reach
+    OpenBLAS's thread count."""
     calls = []
+    load = ctypes.CDLL
 
     def mallopt(param, value):
         calls.append((param, value))
         return 1
 
-    monkeypatch.setattr(cli.ctypes, "CDLL",
-                        lambda name: calls.append((name,)) or types.SimpleNamespace(mallopt=mallopt))
+    def cdll(name, *args, **kwargs):
+        if name != "libc.so.6":
+            return load(name, *args, **kwargs)
+        calls.append((name,))
+        return types.SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
     return calls
 
 

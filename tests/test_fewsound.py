@@ -1,6 +1,8 @@
 """Hypernetwork meta-trainer: state layout, adaptation, windowed reconstruction."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,7 @@ from audioinr.fewsound import (
     state_param_count,
     window_plan,
 )
-from audioinr.inr import InrConfig, build, flatten_params, forward_from_flat, param_count
+from audioinr.inr import ARCHS, InrConfig, build, flatten_params, forward_from_flat, param_count
 from audioinr.loss import StftResolution, make_combined_loss
 from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError
@@ -546,3 +548,95 @@ def test_reconstruct_validation(rng):
     with pytest.raises(ShapeError, match="render_fn returned"):
         reconstruct_long(None, rng.standard_normal(100),
                          render_fn=lambda s: s[:-1], window=64)
+
+
+def random_state(rng, **over):
+    """A tiny state with every parameter drawn at random, the update head too."""
+    state = build_state(tiny_config(**over))
+    for _, p in state.named_params():
+        p.data = (0.1 * rng.standard_normal(p.data.shape)).astype(p.data.dtype)
+    return state
+
+
+def test_reconstruct_holds_one_no_grad_in_the_caller(monkeypatch, rng):
+    entered, outputs = [], []
+    no_grad, forward = T.no_grad, fewsound.inr.forward_from_flat
+
+    def recorded_no_grad():
+        entered.append(threading.current_thread())
+        return no_grad()
+
+    def recorded_forward(*args, **kwargs):
+        outputs.append(forward(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(T, "no_grad", recorded_no_grad)
+    monkeypatch.setattr(fewsound.inr, "forward_from_flat", recorded_forward)
+    monkeypatch.setattr(fewsound, "_render_workers", lambda: 3)
+    state = random_state(rng)
+    x = rng.uniform(-0.5, 0.5, 300)
+    reconstruct_long(state, x)
+    assert entered == [threading.current_thread()]
+    assert len(outputs) == len(window_plan(x.size, 64))
+    assert all(y._parents == () and not y.requires_grad for y in outputs)
+    assert T._GRAD_ENABLED
+
+    def render(seg):
+        assert not T._GRAD_ENABLED
+        if seg[0] > 0.4:
+            raise ValueError("too loud")
+        return seg
+
+    with pytest.raises(ValueError, match="too loud"):
+        reconstruct_long(None, np.linspace(0.0, 1.0, 300), render_fn=render, window=64)
+    assert T._GRAD_ENABLED
+
+
+class RenderFailed(Exception):
+    pass
+
+
+def test_reconstruct_reraises_worker_errors(monkeypatch):
+    blas = fewsound._openblas_threads()
+    seen = []
+
+    def render(seg):
+        seen.append(blas[1]() if blas else None)
+        if seg[0] == 320:
+            raise RenderFailed(f"window at {seg[0]:g}")
+        return seg
+
+    monkeypatch.setattr(fewsound, "_render_workers", lambda: 3)
+    threads = set(threading.enumerate())
+    prev = blas[1]() if blas else None
+    if blas:
+        blas[0](2)
+    try:
+        with pytest.raises(RenderFailed, match="^window at 320$"):
+            reconstruct_long(None, np.arange(2000.0), render_fn=render, window=64)
+        assert blas is None or blas[1]() == 2
+    finally:
+        if blas:
+            blas[0](prev)
+    assert set(threading.enumerate()) == threads
+    assert len(seen) < len(window_plan(2000, 64))
+    assert set(seen) == ({1} if blas else {None})
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_reconstruct_pool_matches_one_worker(monkeypatch, rng, arch, dtype):
+    # more workers than CPUs, switching threads as often as the interpreter allows
+    with T.default_dtype(dtype):
+        state = random_state(rng, target=InrConfig(arch, hidden=(4,), seed=3))
+    x = rng.uniform(-0.5, 0.5, 700)
+    workers = 2 * fewsound._render_workers() + 1
+    monkeypatch.setattr(fewsound, "_render_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = reconstruct_long(state, x)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(fewsound, "_render_workers", lambda: 1)
+    assert np.array_equal(pooled, reconstruct_long(state, x))
