@@ -1,9 +1,10 @@
 """Command-line surface: fit, eval, compare, meta-train, reconstruct,
 spectrogram, paramcount.
 
-Every config field is exposed as a flag; fixed seeds make identical
-flag sets reproduce identical outputs.  Exit codes: 0 success, 1 usage
-error, 2 runtime failure.
+A flag left off keeps its config dataclass's default (``InrConfig``,
+``trainer.TrainConfig``, ``fewsound.FewSoundConfig``); fixed seeds
+make identical flag sets reproduce identical outputs.  Exit codes: 0
+success, 1 usage error, 2 runtime failure.
 
 Before a command that trains (fit, compare, meta-train), ``main`` sets
 the process's allocator policy.  Each training step frees its tape
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import sys
 
 from . import fewsound, inr, metrics, trainer
@@ -80,59 +82,41 @@ def _add_inr_flags(p, with_arch: bool = True) -> None:
     g = p.add_argument_group("network")
     if with_arch:
         g.add_argument("--arch", choices=ARCHS, default="kan")
-    g.add_argument("--layers", type=_int_list, default=None, metavar="N,N,...",
+    g.add_argument("--layers", type=_int_list, dest="hidden", metavar="N,N,...",
                    help="hidden widths (default: per-architecture)")
-    g.add_argument("--encoding-length", type=int, default=8)
-    g.add_argument("--rff-features", type=int, default=64)
-    g.add_argument("--rff-sigma", type=float, default=10.0)
-    g.add_argument("--omega0", type=float, default=None)
-    g.add_argument("--s0", type=float, default=10.0)
-    g.add_argument("--finer-bias-bound", type=float, default=1.0)
-    g.add_argument("--grid-size", type=int, default=10)
-    g.add_argument("--spline-order", type=int, default=2)
-    g.add_argument("--scale-spline", action=argparse.BooleanOptionalAction, default=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--encoding-length", type=int)
+    g.add_argument("--rff-features", type=int)
+    g.add_argument("--rff-sigma", type=float)
+    g.add_argument("--omega0", type=float)
+    g.add_argument("--s0", type=float)
+    g.add_argument("--finer-bias-bound", type=float)
+    g.add_argument("--grid-size", type=int)
+    g.add_argument("--spline-order", type=int)
+    g.add_argument("--scale-spline", action=argparse.BooleanOptionalAction)
+    g.add_argument("--seed", type=int)
 
 
-def _inr_config(args, arch: str | None = None) -> InrConfig:
-    return InrConfig(
-        arch=arch if arch is not None else args.arch,
-        hidden=args.layers,
-        encoding_length=args.encoding_length,
-        rff_features=args.rff_features,
-        rff_sigma=args.rff_sigma,
-        omega0=args.omega0,
-        s0=args.s0,
-        finer_bias_bound=args.finer_bias_bound,
-        grid_size=args.grid_size,
-        spline_order=args.spline_order,
-        scale_spline=args.scale_spline,
-        seed=args.seed,
-    )
+def _add_loss_weight_flags(g) -> None:
+    g.add_argument("--lambda-t", type=float, dest="lam_t", metavar="LAMBDA_T")
+    g.add_argument("--lambda-f", type=float, dest="lam_f", metavar="LAMBDA_F")
 
 
 def _add_train_flags(p) -> None:
     g = p.add_argument_group("training")
-    g.add_argument("--steps", type=int, default=10000)
-    g.add_argument("--lr", type=float, default=None,
-                   help="default: 5e-3 for kan, 1e-4 otherwise")
-    g.add_argument("--lambda-t", type=float, default=1.0, dest="lambda_t")
-    g.add_argument("--lambda-f", type=float, default=1.0, dest="lambda_f")
-    g.add_argument("--precision", choices=("float32", "float64"), default="float64")
-    g.add_argument("--weight-decay", type=float, default=0.01)
-    g.add_argument("--n-mels", type=int, default=80)
+    g.add_argument("--steps", type=int)
+    g.add_argument("--lr", type=float, help="default: 5e-3 for kan, 1e-4 otherwise")
+    _add_loss_weight_flags(g)
+    g.add_argument("--precision", choices=("float32", "float64"))
+    g.add_argument("--weight-decay", type=float)
+    g.add_argument("--n-mels", type=int)
 
 
-def _train_config(args) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        steps=args.steps,
-        lr=args.lr,
-        lam_t=args.lambda_t,
-        lam_f=args.lambda_f,
-        precision=args.precision,
-        weight_decay=args.weight_decay,
-        n_mels=args.n_mels,
-    )
+def _config(cls, args, **fixed):
+    """``cls`` built from the flags given on the command line, plus
+    ``fixed``; a field whose flag was left off keeps its default."""
+    given = vars(args)
+    kwargs = {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
+    return cls(**{**kwargs, **fixed})
 
 
 def _read_clip(path, sample_rate: int) -> AudioClip:
@@ -149,19 +133,19 @@ def _print_metrics(values: dict[str, float]) -> None:
 
 
 def _cmd_fit(args) -> int:
+    inr_cfg, train_cfg = _config(InrConfig, args), _config(trainer.TrainConfig, args)
     clip = _read_clip(args.clip, args.sample_rate)
-    result = trainer.fit_inr(clip, _inr_config(args), _train_config(args))
+    result = trainer.fit_inr(clip, inr_cfg, train_cfg)
     save_model(args.out, result.model)
     if args.trace is not None:
-        lr = trainer.resolve_lr(_train_config(args), args.arch)
+        lr = trainer.resolve_lr(train_cfg, inr_cfg.arch)
         lines = ["step,loss,lr"]
         lines += [f"{i},{v:.12g},{lr:.12g}" for i, v in enumerate(result.loss_trace)]
         atomic_write_bytes(args.trace, ("\n".join(lines) + "\n").encode())
     if args.report is not None:
         report = metrics.MetricsReport()
         vals = {m: result.metrics.get(m, float("nan")) for m in metrics.METRIC_COLUMNS}
-        report.add(clip.source_id or "clip", args.arch,
-                   inr.param_count(_inr_config(args)), vals)
+        report.add(clip.source_id or "clip", inr_cfg.arch, inr.param_count(inr_cfg), vals)
         report.write_csv(args.report)
     print(f"saved {args.out} ({result.seconds:.1f}s, "
           f"final loss {result.loss_trace[-1]:.6g})")
@@ -184,9 +168,9 @@ def _cmd_compare(args) -> int:
     for a in archs:
         if a not in ARCHS:
             raise UsageError(f"unknown architecture {a!r}; choose from {', '.join(ARCHS)}")
-    configs = [_inr_config(args, arch=a) for a in archs]
-    report = trainer.compare_archs(args.dataset, configs, _train_config(args),
-                                   out_csv=args.out)
+    configs = [_config(InrConfig, args, arch=a) for a in archs]
+    report = trainer.compare_archs(args.dataset, configs,
+                                   _config(trainer.TrainConfig, args), out_csv=args.out)
     print(f"wrote {args.out} ({len(report.rows)} fits)")
     for arch, agg in report.aggregate().items():
         cells = "  ".join(f"{m}={agg[m][0]:.4g}" for m in metrics.METRIC_COLUMNS)
@@ -197,24 +181,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_meta_train(args) -> int:
-    cfg = fewsound.FewSoundConfig(
-        target=_inr_config(args),
-        window=args.window,
-        sample_rate=args.sample_rate,
-        embed_dim=args.embed_dim,
-        conv0_channels=args.conv0_channels,
-        encoder_channels=args.encoder_channels,
-        weight_enc_hidden=args.weight_enc_hidden,
-        hyper_hidden=args.hyper_hidden,
-        lam_t=args.lambda_t,
-        lam_f=args.lambda_f,
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-        batch_size=args.batch_size,
-    )
-    clips = prepare_dataset(args.dataset, cfg.window, seed=args.seed,
-                            target_sr=cfg.sample_rate)
+    cfg = _config(fewsound.FewSoundConfig, args, target=_config(InrConfig, args))
+    clips = prepare_dataset(args.dataset, cfg.window, seed=cfg.seed, target_sr=cfg.sample_rate)
     state, trace = fewsound.meta_train(clips, cfg)
     save_model(args.out, state)
     print(f"saved {args.out} (epoch loss {trace[0]:.6g} -> {trace[-1]:.6g})")
@@ -243,7 +211,7 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_paramcount(args) -> int:
-    print(inr.param_count(_inr_config(args)))
+    print(inr.param_count(_config(InrConfig, args)))
     return 0
 
 
@@ -255,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Fit and evaluate neural representations of audio.")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("fit", parents=[], help="fit one network to one WAV clip")
+    p = sub.add_parser("fit", help="fit one network to one WAV clip",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("clip", help="input WAV path")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--sample-rate", type=int, default=22050)
@@ -271,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate", type=int, default=22050)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("compare", help="fit all architectures over a WAV directory")
+    p = sub.add_parser("compare", help="fit all architectures over a WAV directory",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("dataset", help="directory of WAV files")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--archs", type=lambda s: [v.strip() for v in s.split(",") if v.strip()],
@@ -279,25 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"subset of: {', '.join(ARCHS)} (default: all)")
     _add_inr_flags(p, with_arch=False)
     _add_train_flags(p)
-    p.set_defaults(func=_cmd_compare, arch=None)
+    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("meta-train", help="train the hypernetwork system on a dataset")
+    p = sub.add_parser("meta-train", help="train the hypernetwork system on a dataset",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("dataset", help="directory of WAV files")
     p.add_argument("--out", required=True, help="output state file")
-    p.add_argument("--window", type=int, default=32768)
-    p.add_argument("--sample-rate", type=int, default=22050)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--conv0-channels", type=int, default=16)
-    p.add_argument("--encoder-channels", type=_int_list, default=(32, 32, 64, 64),
-                   metavar="N,N,...")
-    p.add_argument("--weight-enc-hidden", type=int, default=256)
-    p.add_argument("--hyper-hidden", type=_int_list, default=(256,), metavar="N,N,...")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=None,
-                   help="default: 1e-6 for a siren target, 1e-5 otherwise")
-    p.add_argument("--lambda-t", type=float, default=1.0, dest="lambda_t")
-    p.add_argument("--lambda-f", type=float, default=1.0, dest="lambda_f")
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--window", type=int)
+    p.add_argument("--sample-rate", type=int)
+    p.add_argument("--embed-dim", type=int)
+    p.add_argument("--conv0-channels", type=int)
+    p.add_argument("--encoder-channels", type=_int_list, metavar="N,N,...")
+    p.add_argument("--weight-enc-hidden", type=int)
+    p.add_argument("--hyper-hidden", type=_int_list, metavar="N,N,...")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", type=float, help="default: 1e-6 for a siren target, 1e-5 otherwise")
+    _add_loss_weight_flags(p)
+    p.add_argument("--batch-size", type=int)
     _add_inr_flags(p)
     p.set_defaults(func=_cmd_meta_train)
 
@@ -312,12 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("clip", help="input WAV path")
     p.add_argument("--out", required=True, help="output path stem")
     p.add_argument("--sample-rate", type=int, default=22050)
-    p.add_argument("--fft", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=512)
-    p.add_argument("--window", type=int, default=2048)
+    res = metrics.DEFAULT_METRIC_RES
+    p.add_argument("--fft", type=int, default=res.fft_size)
+    p.add_argument("--hop", type=int, default=res.hop_size)
+    p.add_argument("--window", type=int, default=res.window_size)
     p.set_defaults(func=_cmd_spectrogram)
 
-    p = sub.add_parser("paramcount", help="print the parameter count of a config")
+    p = sub.add_parser("paramcount", help="print the parameter count of a config",
+                       argument_default=argparse.SUPPRESS)
     _add_inr_flags(p)
     p.set_defaults(func=_cmd_paramcount)
 

@@ -74,6 +74,8 @@ class FewSoundConfig:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ContractError(f"batch_size must be None or >= 1, got {self.batch_size}")
+        if not 0 <= self.seed < 2 ** 63:       # PCG64 seed, stored as an i64
+            raise ContractError(f"seed must be in [0, 2**63), got {self.seed}")
         for name in ("encoder_channels", "hyper_hidden"):
             widths = getattr(self, name)
             if not widths or min(widths) < 1:

@@ -93,6 +93,8 @@ class InrConfig:
                 raise ContractError(f"{name} must be positive and finite, got {v}")
         if self.grid_size < 1 or self.spline_order < 0:
             raise ContractError("grid_size must be >= 1 and spline_order >= 0")
+        if not 0 <= self.seed < 2 ** 63:       # PCG64 seed, stored as an i64
+            raise ContractError(f"seed must be in [0, 2**63), got {self.seed}")
 
 
 def input_dim(config: InrConfig) -> int:

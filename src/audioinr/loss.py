@@ -169,12 +169,13 @@ def _mel_mag(signal: Tensor, res: StftResolution, sample_rate: int, n_mels: int)
     return mel_project(stft_mag(signal, res), fb)
 
 
-def _resolution_terms(mx: Tensor, mh: Tensor) -> Tensor:
-    """Spectral convergence plus L1 of log magnitudes, one resolution."""
+def _resolution_terms(mh: Tensor, mx: Tensor, ref_norm: Tensor, log_mx: Tensor) -> Tensor:
+    """Spectral convergence plus L1 of log magnitudes, one resolution;
+    ``ref_norm`` and ``log_mx`` are the fixed target's guarded norm and
+    log magnitudes."""
     diff_norm = (mx - mh).square().sum().sqrt()
-    ref_norm = mx.square().sum().sqrt().clamp(NORM_GUARD, math.inf)
     sc = T.ew_binary("div", diff_norm, ref_norm)
-    log_l1 = (mx.shift(LOG_EPS).log() - mh.shift(LOG_EPS).log()).abs().mean()
+    log_l1 = (log_mx - mh.shift(LOG_EPS).log()).abs().mean()
     return sc + log_l1
 
 
@@ -185,7 +186,8 @@ def make_combined_loss(target: np.ndarray, lam_t: float = 1.0, lam_f: float = 1.
     """Loss closure against a fixed target x: lam_t * mean|x - xhat| plus
     lam_f * the mean over resolutions of spectral convergence + log-mel
     L1.  Target mel magnitudes are computed once up front instead of on
-    every step; ``lam_f = 0`` skips the spectral term."""
+    every step, with their norm and logs; ``lam_f = 0`` skips the
+    spectral term."""
     if not (math.isfinite(lam_t) and math.isfinite(lam_f) and lam_t >= 0 and lam_f >= 0):
         raise ContractError(f"loss weights must be finite and >= 0, "
                             f"got lam_t={lam_t}, lam_f={lam_f}")
@@ -194,8 +196,9 @@ def make_combined_loss(target: np.ndarray, lam_t: float = 1.0, lam_f: float = 1.
     cached = []
     if lam_f > 0.0:
         for res in resolutions:
-            mx = _mel_mag(tgt, res, sample_rate, n_mels)
-            cached.append((res, Tensor(mx.data)))
+            mx = Tensor(_mel_mag(tgt, res, sample_rate, n_mels).data)
+            ref_norm = mx.square().sum().sqrt().clamp(NORM_GUARD, math.inf)
+            cached.append((res, (mx, ref_norm, mx.shift(LOG_EPS).log())))
 
     def loss_fn(xhat: Tensor) -> Tensor:
         if xhat.shape != tgt.shape:
@@ -203,8 +206,8 @@ def make_combined_loss(target: np.ndarray, lam_t: float = 1.0, lam_f: float = 1.
         out = (tgt - xhat).abs().mean().scale(lam_t)
         if cached:
             total = None
-            for res, mx in cached:
-                term = _resolution_terms(mx, _mel_mag(xhat, res, sample_rate, n_mels))
+            for res, fixed in cached:
+                term = _resolution_terms(_mel_mag(xhat, res, sample_rate, n_mels), *fixed)
                 total = term if total is None else total + term
             out = out + total.scale(lam_f / len(cached))
         return out

@@ -3,6 +3,7 @@
 import ctypes
 import glob
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import audioinr
-from audioinr import cli, fewsound
+from audioinr import cli, fewsound, inr, trainer
 from audioinr.cli import main
-from audioinr.inr import InrConfig, param_count
+from audioinr.fewsound import FewSoundConfig
+from audioinr.inr import ARCHS, InrConfig, param_count
 from audioinr.serialize import save_model
 from audioinr.toydata import sine_mixture, toy_clips
 from audioinr.wavio import AudioClip, wav_read, wav_write
@@ -194,7 +196,9 @@ def test_model_kind_checks(tmp_path, dataset_dir, clip_path, capsys):
 @pytest.mark.parametrize("flags,field", [(["--epochs", "0"], "epochs"),
                                          (["--batch-size", "0"], "batch_size"),
                                          (["--batch-size", "-1"], "batch_size"),
-                                         (["--sample-rate", "0"], "sample_rate")])
+                                         (["--sample-rate", "0"], "sample_rate"),
+                                         (["--seed", "-1"], "seed"),
+                                         (["--seed", str(2 ** 63)], "seed")])
 def test_meta_train_bad_counts_exit_two_before_reading(tmp_path, flags, field, capsys):
     # the dataset does not exist: the config is refused before it is read
     state = tmp_path / "state.bin"
@@ -252,6 +256,132 @@ def test_invalid_config_exits_two(tmp_path, clip_path, capsys):
                "--lambda-f", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_out_of_range_seed_exits_two_before_any_work(tmp_path, clip_path, monkeypatch,
+                                                      capsys):
+    # PCG64 refuses negative seeds and the model file stores an i64: a seed
+    # of 2**63 once trained every step, then failed to save with a traceback
+    def no_fit(*args):
+        raise AssertionError("fit_inr ran")
+
+    monkeypatch.setattr(trainer, "fit_inr", no_fit)
+    assert main(["paramcount", "--seed", "-2"]) == 2
+    assert "error: seed must be" in capsys.readouterr().err
+    assert main(["fit", clip_path, "--out", str(tmp_path / "m.bin"),
+                 "--seed", str(2 ** 63)]) == 2
+    assert "error: seed must be" in capsys.readouterr().err
+
+
+# -- flags to configs ----------------------------------------------------------------
+
+
+INR_FLAGS = ["--layers", "7,5", "--encoding-length", "3", "--rff-features", "9",
+             "--rff-sigma", "2.5", "--omega0", "12", "--s0", "4", "--finer-bias-bound", "0.5",
+             "--grid-size", "6", "--spline-order", "3", "--no-scale-spline", "--seed", "17"]
+INR_SET = dict(hidden=(7, 5), encoding_length=3, rff_features=9, rff_sigma=2.5, omega0=12.0,
+               s0=4.0, finer_bias_bound=0.5, grid_size=6, spline_order=3, scale_spline=False,
+               seed=17)
+TRAIN_FLAGS = ["--steps", "5", "--lr", "0.002", "--lambda-t", "0.3", "--lambda-f", "0.7",
+               "--precision", "float32", "--weight-decay", "0.2", "--n-mels", "40"]
+TRAIN_SET = dict(steps=5, lr=0.002, lam_t=0.3, lam_f=0.7, precision="float32",
+                 weight_decay=0.2, n_mels=40)
+META_FLAGS = ["--window", "128", "--sample-rate", "16000", "--embed-dim", "8",
+              "--conv0-channels", "3", "--encoder-channels", "4,4", "--weight-enc-hidden", "12",
+              "--hyper-hidden", "9,7", "--epochs", "3", "--lr", "0.001", "--lambda-t", "0.4",
+              "--lambda-f", "0.6", "--batch-size", "2"]
+META_SET = dict(window=128, sample_rate=16000, embed_dim=8, conv0_channels=3,
+                encoder_channels=(4, 4), weight_enc_hidden=12, hyper_hidden=(9, 7), epochs=3,
+                lr=0.001, lam_t=0.4, lam_f=0.6, batch_size=2, seed=17)
+
+CONFIG_CASES = {
+    "fit-defaults": ["fit", "CLIP", "--out", "m.bin"],
+    "fit-all": ["fit", "CLIP", "--out", "m.bin", "--arch", "rff"] + INR_FLAGS + TRAIN_FLAGS,
+    "compare-defaults": ["compare", "DATA", "--out", "c.csv"],
+    "compare-all": ["compare", "DATA", "--out", "c.csv", "--archs", "siren,kan"]
+                   + INR_FLAGS + TRAIN_FLAGS,
+    "meta-train-defaults": ["meta-train", "DATA", "--out", "s.bin"],
+    "meta-train-all": ["meta-train", "DATA", "--out", "s.bin", "--arch", "wire"]
+                      + META_FLAGS + INR_FLAGS,
+    "paramcount-defaults": ["paramcount"],
+    "paramcount-all": ["paramcount", "--arch", "finer"] + INR_FLAGS,
+}
+
+
+def dataclass_configs(case: str) -> list:
+    """The configs a CONFIG_CASES argv should pass on, built directly."""
+    every = case.endswith("-all")
+    inr_kw = INR_SET if every else {}
+    train = trainer.TrainConfig(**TRAIN_SET) if every else trainer.TrainConfig()
+    if case.startswith("fit"):
+        return [InrConfig("rff" if every else "kan", **inr_kw), train]
+    if case.startswith("compare"):
+        return [[InrConfig(a, **inr_kw) for a in (("siren", "kan") if every else ARCHS)], train]
+    if case.startswith("meta-train"):
+        target = InrConfig("wire" if every else "kan", **inr_kw)
+        return [FewSoundConfig(target, **(META_SET if every else {}))]
+    return [InrConfig("finer" if every else "kan", **inr_kw)]
+
+
+class Captured(Exception):
+    """Raised by a stub once it has recorded the configs it was given."""
+
+
+@pytest.mark.parametrize("case", CONFIG_CASES)
+def test_flags_reach_the_dataclass_configs(case, tmp_path, clip_path, monkeypatch):
+    """With no optional flag every config field keeps its dataclass
+    default; with every flag set, each flag reaches its own field."""
+    got, prepared = [], []
+
+    def record(*args, **kwargs):
+        got.extend(args[1:])            # everything after the clip or dataset
+        raise Captured
+
+    monkeypatch.setattr(trainer, "fit_inr", record)
+    monkeypatch.setattr(trainer, "compare_archs", record)
+    monkeypatch.setattr(fewsound, "meta_train", record)
+    monkeypatch.setattr(inr, "param_count", lambda cfg: got.append(cfg) or 0)
+    monkeypatch.setattr(cli, "prepare_dataset",
+                        lambda *args, **kwargs: prepared.append((args, kwargs)) or [])
+    argv = [{"CLIP": clip_path, "DATA": str(tmp_path)}.get(a, a) for a in CONFIG_CASES[case]]
+    if case.startswith("paramcount"):
+        assert main(argv) == 0
+    else:
+        with pytest.raises(Captured):
+            main(argv)
+    want = dataclass_configs(case)
+    assert got == want
+    if case.startswith("meta-train"):
+        (cfg,) = want
+        assert prepared == [((str(tmp_path), cfg.window),
+                             dict(seed=cfg.seed, target_sr=cfg.sample_rate))]
+
+
+def options(argv: list[str]) -> list[str]:
+    return [a for a in argv if a.startswith("--")]
+
+
+HELP_FLAGS = {
+    "fit": ["--out", "--sample-rate", "--report", "--trace", "--arch", "--scale-spline"]
+           + options(INR_FLAGS + TRAIN_FLAGS),
+    "eval": ["--sample-rate"],
+    "compare": ["--out", "--archs", "--scale-spline"] + options(INR_FLAGS + TRAIN_FLAGS),
+    "meta-train": ["--out", "--arch", "--scale-spline"] + options(META_FLAGS + INR_FLAGS),
+    "reconstruct": ["--out", "--pcm16"],
+    "spectrogram": ["--out", "--sample-rate", "--fft", "--hop", "--window"],
+    "paramcount": ["--arch", "--scale-spline"] + options(INR_FLAGS),
+}
+
+
+@pytest.mark.parametrize("command", HELP_FLAGS)
+def test_help_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--help"])
+    assert e.value.code == 0
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z0-9-]+", text)) == {"--help", *HELP_FLAGS[command]}
+    if "--lambda-t" in HELP_FLAGS[command]:
+        assert "--lambda-t LAMBDA_T" in text and "--lambda-f LAMBDA_F" in text
 
 
 # -- runtime dependencies ------------------------------------------------------------

@@ -70,9 +70,10 @@ def test_config_validation():
     for name, v in (("epochs", 0), ("epochs", -1), ("batch_size", 0), ("batch_size", -1),
                     ("sample_rate", 0), ("weight_enc_hidden", 0),
                     ("encoder_channels", (2, 0)), ("hyper_hidden", (8, -1)),
-                    ("hyper_hidden", ())):
+                    ("hyper_hidden", ()), ("seed", -1), ("seed", 2 ** 63)):
         with pytest.raises(ContractError, match=name):
             tiny_config(**{name: v})
+    assert tiny_config(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
     assert tiny_config(batch_size=None).batch_size is None
     assert tiny_config(batch_size=1, epochs=1).epochs == 1
 

@@ -27,14 +27,15 @@ INR_TAIL = "II4dIIBq"      # encoding_length ... seed, after the hidden widths
 
 
 def _inr_fields(base: int, n_hidden: int) -> list[tuple[str, int]]:
-    """(struct code, offset) of every count or size field of a network
-    config block at ``base`` whose hidden list has n_hidden entries."""
+    """(struct code, offset) of every count, size or seed field of a
+    network config block at ``base`` whose hidden list has n_hidden
+    entries."""
     widths = base + 2
     tail = widths + 4 * n_hidden
     return [("B", base), ("B", base + 1)] \
         + [("I", widths + 4 * i) for i in range(n_hidden)] \
         + [("I", tail), ("I", tail + 4), ("I", tail + 40), ("I", tail + 44),
-           ("B", tail + 48), ("Q", tail + struct.calcsize("<" + INR_TAIL))]
+           ("B", tail + 48), ("q", tail + 49), ("Q", tail + struct.calcsize("<" + INR_TAIL))]
 
 
 # window, sample_rate, embed_dim, conv0, n_blocks, two channel widths,
@@ -42,21 +43,24 @@ def _inr_fields(base: int, n_hidden: int) -> list[tuple[str, int]]:
 # seed, batch_size, then the target's block
 META_FIELDS = [("I", 7), ("I", 11), ("I", 15), ("I", 19), ("B", 23), ("I", 24), ("I", 28),
                ("I", 32), ("B", 36), ("I", 37), ("d", 41), ("d", 49), ("I", 57), ("d", 61),
-               ("Q", 77)]
+               ("q", 69), ("Q", 77)]
 
 _VALUES = {
     "B": st.integers(0, 255),
     "I": st.one_of(st.sampled_from([0, 1, 2 ** 31, 2 ** 32 - 1]), st.integers(0, 2 ** 32 - 1)),
     "Q": st.one_of(st.sampled_from([0, 2 ** 60, 2 ** 64 - 1]), st.integers(0, 2 ** 64 - 1)),
+    "q": st.one_of(st.sampled_from([-1, -2 ** 63, 2 ** 63 - 1]),
+                   st.integers(-2 ** 63, 2 ** 63 - 1)),
     "d": st.floats(allow_nan=True, allow_infinity=True),
     "H": st.one_of(st.sampled_from([0, 1, 2, 3, 16, 32]), st.integers(0, 2 ** 16 - 1)),
 }
 
 
 @st.composite
-def mutants(draw, blob: bytes, fields, crc: bool) -> bytes:
+def mutants(draw, blob: bytes, fields, crc: bool,
+            hows=("flip", "truncate", "append", "patch")) -> bytes:
     b = bytearray(blob)
-    how = draw(st.sampled_from(["flip", "truncate", "append", "patch"]))
+    how = draw(st.sampled_from(hows))
     if how == "flip":
         b[draw(st.integers(0, len(b) - 1))] ^= draw(st.integers(1, 255))
     elif how == "truncate":
@@ -107,6 +111,16 @@ def test_fuzz_meta_trainer_file(files, data):
     blob = open(files["state"], "rb").read()
     fields = META_FIELDS + _inr_fields(85, 1)
     _check_model_mutant(files, data.draw(mutants(blob, fields, crc=True)))
+
+
+@pytest.mark.parametrize("kind", ["model", "state"])
+@given(data=st.data())
+def test_fuzz_seed_slots(files, kind, data):
+    # the mixes above patch a seed in about one example in a hundred
+    fields = _inr_fields(7, 1) if kind == "model" else META_FIELDS + _inr_fields(85, 1)
+    seeds = [f for f in fields if f[0] == "q"]
+    blob = open(files[kind], "rb").read()
+    _check_model_mutant(files, data.draw(mutants(blob, seeds, crc=True, hows=("patch",))))
 
 
 def _pcm16_stereo(n: int) -> bytes:

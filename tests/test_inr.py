@@ -221,6 +221,14 @@ def test_config_rejects_non_finite_scales(field, value):
         InrConfig("siren", **{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 63, 2 ** 63, 2 ** 64])
+def test_config_rejects_seed_outside_i64_range(seed):
+    # PCG64 refuses negative seeds and the model file stores an i64
+    with pytest.raises(ContractError, match="seed"):
+        InrConfig("rff", seed=seed)
+    assert InrConfig("rff", seed=2 ** 63 - 1).seed == 2 ** 63 - 1
+
+
 # -- initialization ------------------------------------------------------------
 
 

@@ -292,11 +292,43 @@ def test_combined_loss_rejects_negative_weights():
             make_combined_loss(np.zeros(128), **weights)
 
 
+def per_step_loss(x, xh: Tensor, resolutions) -> Tensor:
+    """The combined loss (lam_t = lam_f = 1, 8 mels) as a graph that
+    recomputes the target's norm and log magnitudes on every call."""
+    tgt = Tensor(x.astype(xh.data.dtype))
+    out = (tgt - xh).abs().mean().scale(1.0)
+    total = None
+    for res in resolutions:
+        mx = Tensor(loss_mod._mel_mag(tgt, res, 22050, 8).data)
+        mh = loss_mod._mel_mag(xh, res, 22050, 8)
+        ref_norm = mx.square().sum().sqrt().clamp(loss_mod.NORM_GUARD, math.inf)
+        term = T.ew_binary("div", (mx - mh).square().sum().sqrt(), ref_norm) \
+            + (mx.shift(LOG_EPS).log() - mh.shift(LOG_EPS).log()).abs().mean()
+        total = term if total is None else total + term
+    return out + total.scale(1.0 / len(resolutions))
+
+
 def test_combined_loss_gradient(rng):
     x = rng.standard_normal(96)
     xh = Tensor(rng.standard_normal(96), requires_grad=True)
     fn = make_combined_loss(x, resolutions=FAST, n_mels=8)
     assert grad_check(fn, [xh], n_samples=40, seed=2) < 1e-5
+    # the target's terms, computed once up front, leave the loss and its
+    # gradient bitwise equal to recomputing them on every call
+    resolutions = FAST + (StftResolution(32, 8, 24),)
+    pred = rng.standard_normal(96)
+    for dt in ("float64", "float32"):
+        with default_dtype(dt):
+            fn = make_combined_loss(x, resolutions=resolutions, n_mels=8)
+            got = []
+            for loss_of in (fn, lambda xh: per_step_loss(x, xh, resolutions)):
+                xh = Tensor(pred.astype(dt), requires_grad=True)
+                loss = loss_of(xh)
+                backward(loss)
+                got.append((loss.data, xh.grad))
+        (lc, gc), (lr, gr) = got
+        assert lc.dtype == dt and lc.tobytes() == lr.tobytes()
+        assert gc.dtype == dt and gc.tobytes() == gr.tobytes()
 
 
 def test_combined_loss_matches_dft_matrix_chain(rng, monkeypatch):

@@ -1,6 +1,8 @@
 """Binary model files: layout arithmetic, roundtrips, corruption detection."""
 
+import dataclasses
 import glob
+import hashlib
 import math
 import os
 import stat
@@ -164,6 +166,44 @@ def test_streamed_file_equals_whole_blob(precision, tmp_path, rng):
         assert path.read_bytes() == whole_blob(obj)
 
 
+# SHA-256 of tiny files whose parameters are an arange pattern: every
+# arch with and without scale_spline, and a meta-trainer state without and
+# with a batch size.  A change to any byte of the layout changes a digest.
+PINNED = {
+    "nerf-scaled": "a84cf08546fb15eeffed801ff071bc4571693e3a7c84248de65e54648ce9a906",
+    "nerf-unscaled": "62202a7b3868746a514f0280e30f65f81afd4703fd11ce6dbfb6bc8a09878102",
+    "siren-scaled": "caad39deebb885aaa87a6f7e86903d28eeb9665191a70f1bd84686ffc8e63c18",
+    "siren-unscaled": "dbadec5c46dfdf402daae8eb7725ee3c5f46a753a8dbf8ed24ae2b8df5af4055",
+    "rff-scaled": "8935c6c86bcee0b06309ae734197778a748a18c9479af43a9d45a2bc6240700e",
+    "rff-unscaled": "c5d6dfc4e7e47171c8a825d4a0e66cae29ba7a833a91ae0f608eb07c8c4a9f88",
+    "wire-scaled": "64325acc8e6e5f8746337486a6300d0acece01c7be4132a03215b23250c4ba3c",
+    "wire-unscaled": "0ef3a92b601db63358fbd106b4c476b306ba51b1d113856fb26af17a35627d9c",
+    "finer-scaled": "ce1dd7a909a9540217ff7e4dc535bc72796bfa77fe79657a3a19c42ad2a52f19",
+    "finer-unscaled": "8b22472a5fb1ffd62debe10053da5c320cc6df19e170879db8e0ce477ab94e4e",
+    "kan-scaled": "55af3779312905d98c00a1da3ca45c673fcc4d6095cae3c8938016fea8ecb767",
+    "kan-unscaled": "dddfc0b2913f25ddcbe232fb819f4c58b9310fb2e35ccc0e11a9c988050c3acf",
+    "meta-whole": "6b15b63767f31e1d1ed6d2932ef65306f4f0cb1b0aa882c6b6066372c3049e81",
+    "meta-batch2": "b50cc7155e8b4ca1bdb6c8976be600736ff4a592b6389d006098e25e64393482",
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_file_bytes_are_pinned(name, tmp_path):
+    kind, variant = name.split("-")
+    if kind == "meta":
+        batch = None if variant == "whole" else 2
+        obj = build_state(dataclasses.replace(tiny_meta_config(), batch_size=batch))
+    else:
+        obj = build(InrConfig(kind, scale_spline=variant == "scaled", **TINY_TARGET))
+    start = 0
+    for _, p in obj.named_params():
+        p.data = (np.arange(start, start + p.data.size) / 64).reshape(p.data.shape)
+        start += p.data.size
+    path = tmp_path / "pinned.bin"
+    save_model(path, obj)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[name]
+
+
 def _meta_state_5mb():
     """A meta-trainer state of about 5 MB, nearly all in two matrices."""
     cfg = tiny_meta_config()
@@ -323,10 +363,13 @@ def test_rejects_trailing_junk(tmp_path):
 @pytest.mark.parametrize("field,value", [("grid_size", 0), ("hidden", ()),
                                          ("omega0", -1.0), ("omega0", math.nan),
                                          ("s0", math.inf), ("rff_sigma", -math.inf),
-                                         ("finer_bias_bound", math.nan)])
+                                         ("finer_bias_bound", math.nan), ("seed", -1),
+                                         ("seed", -2 ** 63)])
 def test_rejects_invalid_network_config(field, value, tmp_path):
-    # the CRC is valid; the stored values are ones InrConfig refuses
-    model = build(InrConfig("siren", **TINY_TARGET))
+    # the CRC is valid; the stored values are ones InrConfig refuses.  rff
+    # draws its projection from the seed: a negative one once reached
+    # PCG64, which raised a bare ValueError
+    model = build(InrConfig("rff", **TINY_TARGET))
     setattr(model.config, field, value)
     path = tmp_path / "bad.bin"
     save_model(path, model)
@@ -339,7 +382,8 @@ def test_rejects_invalid_network_config(field, value, tmp_path):
                                          ("embed_dim", 0), ("lr", math.nan),
                                          ("lr", math.inf), ("lam_t", math.nan),
                                          ("lam_f", -1.0), ("epochs", 0),
-                                         ("sample_rate", 0), ("weight_enc_hidden", 0)])
+                                         ("sample_rate", 0), ("weight_enc_hidden", 0),
+                                         ("seed", -1)])
 def test_rejects_invalid_meta_config(field, value, tmp_path):
     state = build_state(tiny_meta_config())
     setattr(state.config, field, value)
