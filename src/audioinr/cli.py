@@ -4,7 +4,7 @@ spectrogram, paramcount.
 A flag left off keeps its config dataclass's default (``InrConfig``,
 ``trainer.TrainConfig``, ``fewsound.FewSoundConfig``); fixed seeds
 make identical flag sets reproduce identical outputs.  Exit codes: 0
-success, 1 usage error, 2 runtime failure.
+success, 1 usage error, 2 runtime failure (a MemoryError included).
 
 Before a command that trains (fit, compare, meta-train), ``main`` sets
 the process's allocator policy.  Each training step frees its tape
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except (ContractError, DomainError, ShapeError, WavError, SerializationError,
-            OSError, ValueError) as e:
+            OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, ContractError, ShapeError
 from . import inr
-from .inr import InrConfig
+from .inr import InrConfig, check_slot
 from .loss import DEFAULT_RESOLUTIONS, make_combined_loss
 from .optim import AdamW, OneCycleSchedule, one_cycle_lr, run_steps
 
@@ -80,6 +80,13 @@ class FewSoundConfig:
             widths = getattr(self, name)
             if not widths or min(widths) < 1:
                 raise ContractError(f"{name} must be non-empty and positive, got {widths}")
+            check_slot(f"{name} layer count", len(widths), 8)
+            check_slot(name, max(widths), 32)
+        for name in ("window", "sample_rate", "embed_dim", "conv0_channels",
+                     "weight_enc_hidden", "epochs"):
+            check_slot(name, getattr(self, name), 32)
+        if self.batch_size is not None:
+            check_slot("batch_size", self.batch_size, 64)
         if self.lr is None:
             self.lr = 1e-6 if self.target.arch == "siren" else 1e-5
         if not (math.isfinite(self.lr) and self.lr > 0):

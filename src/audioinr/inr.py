@@ -95,6 +95,18 @@ class InrConfig:
             raise ContractError("grid_size must be >= 1 and spline_order >= 0")
         if not 0 <= self.seed < 2 ** 63:       # PCG64 seed, stored as an i64
             raise ContractError(f"seed must be in [0, 2**63), got {self.seed}")
+        check_slot("hidden layer count", len(self.hidden), 8)
+        check_slot("hidden", max(self.hidden), 32)
+        for name in ("encoding_length", "rff_features", "grid_size", "spline_order"):
+            check_slot(name, getattr(self, name), 32)
+
+
+def check_slot(name: str, value: int, bits: int) -> None:
+    """ContractError unless a count fits the unsigned ``bits``-wide slot
+    the model file stores it in, so a trained model can always be saved."""
+    if value >= 2 ** bits:
+        raise ContractError(f"{name} must be below 2**{bits}, the width of its "
+                            f"model-file slot, got {value}")
 
 
 def input_dim(config: InrConfig) -> int:

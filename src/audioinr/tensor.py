@@ -17,11 +17,11 @@ anything else is a ShapeError.  Scalars enter through ``scale`` and
 ``shift``; biases through ``linear``, the one matrix product.
 
 Each dense layer is one ``linear`` node with an optional ReLU, sin or
-FINER activation, applied in the pre-activation's own buffer.  Beyond
-its output the node keeps nothing for ReLU and one n x d array for sin
-(its phase) and FINER (z), and nothing at all when no tape is recorded.
-A WIRE layer (``gabor_layer``) builds its output in place, and its
-backward works in the result and two scratch arrays.
+FINER activation, applied in the pre-activation's own buffer.  A WIRE
+layer (``gabor_layer``) builds its output in place.  Neither node keeps
+anything beyond its output: where the backward needs the pre-activation
+z, it recomputes it with the forward's own product, bitwise equal, and
+builds the gradient at z in that buffer.
 ``conv1d`` copies its patch matrix from a strided view of the padded
 input and accumulates its input gradient one kernel tap at a time.
 """
@@ -229,33 +229,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, act: str | None = None
     "finer" (sin(omega0 z |z + 1|)).  The activation is applied in z's own
     buffer, in the order the separate relu / scale / shift / abs / mul /
     sin ops would round in, so results are bitwise equal to that graph.
-    A taped node keeps, beyond its output: nothing for ReLU (its mask is
-    out > 0), omega0 z for sin, and z for FINER, whose backward rebuilds
-    omega0 z |z + 1| in the forward's rounding order; with no tape it
-    keeps nothing.  Backward takes cos once, folds g and omega0 into it
-    in place, then writes dW = dzᵀ.x, dx = dz.W and db = dz summed over
-    rows.
+    The node keeps nothing beyond its output: ReLU's mask is out > 0, and
+    the sin and FINER backward recomputes z with the forward's own
+    product, bitwise equal to it, and builds the activation's derivative
+    in that buffer.  Backward then writes dW = dzᵀ.x, dx = dz.W and db =
+    dz summed over rows.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shapes x{x.shape} and W{w.shape} do not chain")
     if act not in _ACTS:
         raise ContractError(f"unknown activation {act!r}; expected one of {_ACTS}")
-    z = x.data @ w.data.T
     if b is not None:
         b = _as_tensor(b)
         if b.shape != (w.shape[0],):
             raise ShapeError(f"linear bias shape {b.shape} != ({w.shape[0]},)")
-        if np.can_cast(b.data.dtype, z.dtype):
-            z += b.data
-        else:
-            z = z + b.data
-    parents = (x, w) if b is None else (x, w, b)
-    taped = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out, dz = _dense_act(z, act, omega0, taped)
+    bd = None if b is None else b.data
+    out = _dense_act(_affine(x.data, w.data, bd), act, omega0)
 
     def bwd(g):
-        g = dz(g)
+        if act == "relu":
+            g = g * (out > 0.0)
+        elif act is not None:
+            g = _dense_dz(_affine(x.data, w.data, bd), g, act, omega0)
         if x.requires_grad:
             _accum_fresh(x, g @ w.data)
         if w.requires_grad:
@@ -263,52 +259,63 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, act: str | None = None
         if b is not None and b.requires_grad:
             _accum_fresh(b, g.sum(axis=0))
 
-    return _node(out, parents, bwd)
+    return _node(out, (x, w) if b is None else (x, w, b), bwd)
 
 
 _ACTS = (None, "relu", "sin", "finer")
 
 
-def _dense_act(z: np.ndarray, act: str | None, omega0: float, taped: bool):
-    """(out, dz): linear's activation of the pre-activation z it owns, and
-    the map from the gradient at out to the gradient at z.  ReLU and sin
-    always overwrite z (sin with its phase omega0 z, which it keeps for
-    the backward); FINER does so only when ``taped`` is false, and taped
-    keeps z and rebuilds its phase in the backward.  Untaped, dz is None."""
-    if act is None:
-        return z, lambda g: g
-    if act == "relu":
-        out = np.maximum(z, 0.0, out=z)
-        return out, lambda g: g * (out > 0.0)
-    if act == "finer":
-        s = _finer_phase(z, omega0, out=None if taped else z)
-    else:
-        s = z
-        if omega0 != 1.0:
-            s *= omega0
-    if not taped:
-        return np.sin(s, out=s), None
-    out = np.sin(s, out=s if act == "finer" else None)
-
-    def dz(g):
-        if act == "finer":
-            c = _finer_phase(z, omega0)
-            np.cos(c, out=c)
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """z = x Wᵀ + b in a fresh array.  The same calls on the same operands
+    give the same bits, so a backward may recompute z instead of keeping it."""
+    z = x @ w.T
+    if b is not None:
+        if np.can_cast(b.dtype, z.dtype):
+            z += b
         else:
-            c = np.cos(s)
-        c *= g
+            z = z + b
+    return z
+
+
+def _dense_act(z: np.ndarray, act: str | None, omega0: float) -> np.ndarray:
+    """linear's activation, written over the pre-activation z it owns: none,
+    ReLU, or sin of the phase (omega0 z for sin, omega0 z |z + 1| for
+    FINER)."""
+    if act == "relu":
+        return np.maximum(z, 0.0, out=z)
+    if act == "finer":
+        _finer_phase(z, omega0, out=z)
+    elif act == "sin" and omega0 != 1.0:
+        z *= omega0
+    return z if act is None else np.sin(z, out=z)
+
+
+def _dense_dz(z: np.ndarray, g: np.ndarray, act: str, omega0: float) -> np.ndarray:
+    """Gradient at z of sin or FINER from the gradient g at the output,
+    written over the recomputed pre-activation z.  It rounds as the
+    stored-phase form cos(phase) g omega0 does, times d(z |z + 1|)/dz =
+    |z + 1| + z sign(z + 1) for FINER; sin needs no other array, FINER
+    two."""
+    if act == "sin":
+        c = z
         if omega0 != 1.0:
             c *= omega0
-        if act == "finer":
-            # d(z |z + 1|)/dz = |z + 1| + z sign(z + 1)
-            zp1 = z + 1.0
-            d = c * z
-            d *= np.sign(zp1)
-            c *= np.abs(zp1, out=zp1)
-            c += d
+    else:
+        c = _finer_phase(z, omega0)
+    np.cos(c, out=c)
+    c *= g
+    if omega0 != 1.0:
+        c *= omega0
+    if act == "sin":
         return c
-
-    return out, dz
+    zp1 = z + 1.0
+    z *= c                                  # c z
+    c *= zp1
+    sgn = np.sign(zp1, out=zp1)
+    c *= sgn                                # c |z + 1|, exactly: sgn is ±1 or 0
+    z *= sgn
+    z += c
+    return z
 
 
 def _finer_phase(z: np.ndarray, omega0: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -340,7 +347,9 @@ def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Te
     combined exponent expo = -omega0 z_im - s0² |z|², kept bounded by
     e^(omega0² / (4 s0²)), it is e^expo [cos(omega0 z_re), sin(omega0 z_re)].
     The bias enters the real half only.  Where expo < gabor_floor(dtype)
-    the envelope, and so its gradient, is exactly 0.
+    the envelope, and so its gradient, is exactly 0.  The node keeps only
+    its output: the backward recomputes z with the forward's own product,
+    bitwise equal to it, and writes the gradient at z over it.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     first = x.data.ndim == 2
@@ -353,9 +362,14 @@ def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Te
     n, d_out = x.shape[-2], w.shape[0]
     xs = x.data.reshape(-1, x.shape[-1])
     dt = np.result_type(x.data, w.data, b.data)
-    z = (xs @ w.data.T).astype(dt, copy=False).reshape(-1, n, d_out)
+
+    def affine():
+        z = (xs @ w.data.T).astype(dt, copy=False).reshape(-1, n, d_out)
+        z[0] += b.data
+        return z
+
+    z = affine()
     z_re = z[0]
-    z_re += b.data
     out = np.empty((2, n, d_out), dtype=z.dtype)
     re, im = out
     # the exponent is built in im, with re as scratch: squares, their sum, then
@@ -369,13 +383,14 @@ def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Te
         expo += np.multiply(z[1], -omega0, out=re)
     np.copyto(expo, -np.inf, where=expo < gabor_floor(expo.dtype))
     mag = np.exp(expo, out=expo)
-    ang = np.multiply(z_re, omega0)
+    ang = z_re                  # z is spent: the angle is written over its real half
+    ang *= omega0
     np.cos(ang, out=re)
     re *= mag
     mag *= np.sin(ang, out=ang)
 
     def bwd(g):
-        dz = _gabor_dz(g, out, z, omega0, s0)
+        dz = _gabor_dz(g, out, affine(), omega0, s0)
         dzs = dz.reshape(-1, d_out)
         if x.requires_grad:
             _accum_fresh(x, (dzs @ w.data).reshape(x.shape))
@@ -389,33 +404,36 @@ def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Te
 
 def _gabor_dz(g: np.ndarray, out: np.ndarray, z: np.ndarray, omega0: float,
               s0: float) -> np.ndarray:
-    """Gradient at z (z's shape) from the gradient g at gabor_layer's output.
+    """Gradient at z from the gradient g at gabor_layer's output, written
+    over z, the recomputed pre-activation.
 
     With out = e^expo [cos, sin] of omega0 z_re, the envelope's gradient
-    times the envelope is g_re re + g_im im and the phase's is
-    g_im re - g_re im, so neither cos nor sin is kept; both are exactly 0
-    wherever the envelope was floored.  Works in the result and two
-    scratch arrays, rounding as omega0 d_ang - k z_re d_expo and
-    -(omega0 + k z_im) d_expo do.
+    times the envelope is d_expo = g_re re + g_im im and the phase's is
+    d_ang = g_im re - g_re im, so neither cos nor sin is kept; both are
+    exactly 0 wherever the envelope was floored.  Beyond z it allocates
+    two scratch arrays of z_re's shape.  It forms k z_re d_expo in z[0]
+    first, then -(omega0 + k z_im) d_expo in z[1], then
+    omega0 d_ang - k z_re d_expo in z[0], with d_expo's array reused as
+    scratch: the rounding of the form that keeps z.
     """
     re, im = out
     k = 2.0 * s0 * s0
-    dz = np.empty_like(z)
     d_expo = np.multiply(g[0], re)
     scratch = np.multiply(g[1], im)
     d_expo += scratch
-    d_ang = np.multiply(g[1], re, out=dz[0])
-    d_ang -= np.multiply(g[0], im, out=scratch)
-    d_ang *= omega0
-    np.multiply(z[0], k, out=scratch)
-    scratch *= d_expo
-    d_ang -= scratch
+    z[0] *= k
+    z[0] *= d_expo
     if len(z) == 2:
-        d_im = np.multiply(z[1], k, out=dz[1])
+        d_im = z[1]
+        d_im *= k
         d_im += omega0
         np.negative(d_im, out=d_im)
         d_im *= d_expo
-    return dz
+    d_ang = np.multiply(g[1], re, out=d_expo)
+    d_ang -= np.multiply(g[0], im, out=scratch)
+    d_ang *= omega0
+    np.subtract(d_ang, z[0], out=z[0])
+    return z
 
 
 def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:

@@ -1,7 +1,5 @@
 """Uniform B-spline bases against a naive Cox-de Boor oracle."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -20,6 +18,7 @@ from audioinr.tensor import (
     backward,
     reshape,
 )
+from memory import traced
 from unfused_ops import transpose, unfused_kan_layer
 
 
@@ -281,13 +280,8 @@ def test_kan_layer_graph_holds_no_per_point_state(rng):
     leaves, grid = paper_kan_case(rng)
     x = leaves[0]
     n, d_out = x.shape[0], leaves[1].shape[0]
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        out = kan_layer(*leaves, grid)
-        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-    finally:
-        tracemalloc.stop()
+    out, held, _ = traced(kan_layer, *leaves, grid)
+    held -= out.data.nbytes
     assert held < x.data.nbytes / 4
 
     loss = (out * Tensor(rng.standard_normal((n, d_out)))).sum()
@@ -307,13 +301,7 @@ def test_kan_layer_backward_peak_memory(dtype, rng):
     x = leaves[0]
     out = kan_layer(*leaves, grid)
     loss = (out * Tensor(rng.standard_normal(out.shape).astype(dtype))).sum()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        backward(loss, leaves=leaves)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(backward, loss, leaves=leaves)
     assert peak <= 2.0 * x.data.nbytes
 
 
@@ -346,13 +334,7 @@ def test_kan_layer_spline_only_backward_builds_no_row_array(rng):
     x, w_b = Tensor(leaves[0].data), Tensor(leaves[1].data)
     out = kan_layer(x, w_b, *leaves[2:], grid)
     g = rng.standard_normal(out.shape)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        out._backward(g)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(out._backward, g)
     assert peak < 0.5 * x.data.nbytes
     assert all(t.grad is not None for t in leaves[2:])
 

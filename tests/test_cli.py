@@ -198,7 +198,13 @@ def test_model_kind_checks(tmp_path, dataset_dir, clip_path, capsys):
                                          (["--batch-size", "-1"], "batch_size"),
                                          (["--sample-rate", "0"], "sample_rate"),
                                          (["--seed", "-1"], "seed"),
-                                         (["--seed", str(2 ** 63)], "seed")])
+                                         (["--seed", str(2 ** 63)], "seed"),
+                                         (["--batch-size", str(2 ** 64), "--epochs", "1"],
+                                          "batch_size"),
+                                         (["--epochs", str(2 ** 32)], "epochs"),
+                                         (["--conv0-channels", str(2 ** 32)],
+                                          "conv0_channels"),
+                                         (["--layers", f"4,{2 ** 32}"], "hidden")])
 def test_meta_train_bad_counts_exit_two_before_reading(tmp_path, flags, field, capsys):
     # the dataset does not exist: the config is refused before it is read
     state = tmp_path / "state.bin"
@@ -207,6 +213,18 @@ def test_meta_train_bad_counts_exit_two_before_reading(tmp_path, flags, field, c
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {field} must be" in err and "Traceback" not in err
+    assert not state.exists()
+
+
+def test_meta_train_out_of_memory_exits_two(tmp_path, dataset_dir, capsys, monkeypatch):
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 224. GiB for an array")
+
+    monkeypatch.setattr(fewsound, "build_state", no_memory)
+    state = tmp_path / "state.bin"
+    assert main(["meta-train", dataset_dir, "--out", str(state)] + META_FAST) == 2
+    err = capsys.readouterr().err
+    assert "error: Unable to allocate" in err and "Traceback" not in err
     assert not state.exists()
 
 

@@ -3,7 +3,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from audioinr.loss import StftResolution, make_combined_loss
 from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr
 from audioinr.tensor import ContractError, ShapeError
 from audioinr.toydata import sine_mixture
+from memory import traced
 from unfused_ops import unfused_dense
 
 FAST = (StftResolution(32, 8, 32),)
@@ -74,6 +74,15 @@ def test_config_validation():
         with pytest.raises(ContractError, match=name):
             tiny_config(**{name: v})
     assert tiny_config(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
+    # counts wider than their model-file slots: u32, u64 for batch_size, u8
+    # for the number of blocks and hypernetwork layers
+    for name, v in (("window", 2 ** 32), ("sample_rate", 2 ** 32), ("embed_dim", 2 ** 32),
+                    ("conv0_channels", 2 ** 32), ("weight_enc_hidden", 2 ** 32),
+                    ("epochs", 2 ** 32), ("batch_size", 2 ** 64),
+                    ("encoder_channels", (2, 2 ** 32)), ("hyper_hidden", (2 ** 32,)),
+                    ("encoder_channels", (1,) * 256), ("hyper_hidden", (1,) * 256)):
+        with pytest.raises(ContractError, match=name):
+            tiny_config(**{name: v})
     assert tiny_config(batch_size=None).batch_size is None
     assert tiny_config(batch_size=1, epochs=1).epochs == 1
 
@@ -491,12 +500,7 @@ def test_reconstruct_memory_is_output_plus_one_window():
     # ten minutes at 22.05 kHz: the old dense weights would take 6.5 GB
     n, window = 600 * 22050, 32768
     x = np.random.Generator(np.random.PCG64(5)).standard_normal(n)
-    tracemalloc.start()
-    try:
-        out = reconstruct_long(None, x, render_fn=lambda seg: seg, window=window)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, _, peak = traced(reconstruct_long, None, x, render_fn=lambda seg: seg, window=window)
     assert peak < 4 * out.nbytes
     np.testing.assert_allclose(out, x, atol=1e-12)
 

@@ -28,6 +28,7 @@ from audioinr.tensor import (
     backward,
     grad_check,
 )
+from memory import traced
 from unfused_ops import (unfused_dense, unfused_kan_layer, unfused_sin_features,
                          unfused_wire_forward)
 
@@ -229,6 +230,17 @@ def test_config_rejects_seed_outside_i64_range(seed):
     assert InrConfig("rff", seed=2 ** 63 - 1).seed == 2 ** 63 - 1
 
 
+@pytest.mark.parametrize("field, value", [("hidden", (2 ** 32,)), ("hidden", (4,) * 256),
+                                          ("encoding_length", 2 ** 32),
+                                          ("rff_features", 2 ** 32), ("grid_size", 2 ** 32),
+                                          ("spline_order", 2 ** 32)])
+def test_config_rejects_counts_wider_than_their_file_slots(field, value):
+    # u8 for the number of hidden layers, u32 for the rest
+    with pytest.raises(ContractError, match=f"{field}.* below 2\\*\\*"):
+        InrConfig("kan", **{field: value})
+    assert len(InrConfig("siren", hidden=(2 ** 32 - 1,) + (4,) * 254).hidden) == 255
+
+
 # -- initialization ------------------------------------------------------------
 
 
@@ -393,6 +405,19 @@ def test_forward_without_tape_matches_taped(arch, rng):
         bare = model.forward(t)
     assert taped.requires_grad and not bare.requires_grad and bare._parents == ()
     np.testing.assert_array_equal(bare.data, taped.data)
+
+
+@pytest.mark.parametrize("arch", ["siren", "finer", "wire"])
+def test_taped_forward_holds_only_the_hidden_outputs(arch):
+    # 8192 samples in float64 at default widths: each sin, FINER or Gabor
+    # node keeps only its output, so the tape is the hidden layers' outputs
+    # plus a few n-sized arrays at either end
+    n = 8192
+    model = build(InrConfig(arch))
+    out, held, _ = traced(model.forward, np.linspace(-1.0, 1.0, n))
+    hidden = sum(model.config.hidden) * n * 8 * (2 if arch == "wire" else 1)
+    assert out.requires_grad
+    assert held <= 1.05 * hidden, held / hidden
 
 
 def test_unflatten_size_check():

@@ -7,7 +7,6 @@ import math
 import os
 import stat
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -30,6 +29,7 @@ from audioinr.serialize import (
     pack_inr_config,
     save_model,
 )
+from memory import traced
 
 TINY_TARGET = dict(hidden=(4,), encoding_length=2, rff_features=3,
                    grid_size=3, spline_order=1, seed=3)
@@ -110,6 +110,18 @@ def test_fewsound_load_draws_no_random_init(tmp_path, monkeypatch, rng):
     for (_, p), (_, q) in zip(state.named_params(), back32.named_params()):
         assert q.data.dtype == np.float32
         np.testing.assert_array_equal(q.data, p.data.astype(np.float32))
+
+
+def test_counts_at_their_slot_maxima_roundtrip(tmp_path):
+    # the configs accept the largest count each slot holds, and the file
+    # keeps it: u64 for batch_size, u32 for epochs
+    state = build_state(dataclasses.replace(tiny_meta_config(), batch_size=2 ** 64 - 1,
+                                            epochs=2 ** 32 - 1))
+    path = tmp_path / "max.bin"
+    save_model(path, state)
+    back = load_model(path).config
+    assert (back.batch_size, back.epochs) == (2 ** 64 - 1, 2 ** 32 - 1)
+
 
 def test_rff_projection_survives_roundtrip(tmp_path):
     model = build(InrConfig("rff", **TINY_TARGET))
@@ -219,15 +231,8 @@ def _meta_state_5mb():
 def test_save_and_load_stream(make, tmp_path):
     obj = make()
     path = tmp_path / "big.bin"
-    tracemalloc.start()
-    try:
-        save_model(path, obj)
-        _, save_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        back = load_model(path)
-        _, load_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, save_peak = traced(save_model, path, obj)
+    back, _, load_peak = traced(load_model, path)
     size = path.stat().st_size
     assert size > 1_000_000
     assert save_peak <= 0.1 * size
@@ -332,13 +337,12 @@ def test_refuses_huge_payload_before_allocating(width, count, tmp_path):
                      count or implied)
     _rewrite(path, bytes(body))
     message = f"payload declares {count} " if count else f"needed {8 * implied} more bytes"
-    tracemalloc.start()
-    try:
+
+    def refused():
         with pytest.raises(SerializationError, match=message):
             load_model(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, _, peak = traced(refused)
     assert peak < 1 << 20
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from audioinr import tensor as T
 from audioinr.tensor import (Tensor, ContractError, DomainError, ShapeError,
                              backward, grad_check)
 import unfused_ops as U
+from memory import traced
 
 
 def leaf(data):
@@ -262,19 +261,14 @@ def test_dense_untaped_matches_taped(act, rng):
     np.testing.assert_array_equal(bare.data, taped.data)
 
 
-@pytest.mark.parametrize("act, bound", [("relu", 0.05), ("sin", 1.05), ("finer", 1.05)])
+@pytest.mark.parametrize("act, bound", [("relu", 0.05), ("sin", 0.05), ("finer", 0.05)])
 def test_dense_node_holds_at_most_its_bound(act, bound, rng):
-    # beyond its output, a taped (4096, 128) hidden layer keeps nothing for
-    # ReLU, omega0 z for sin, and z for FINER (its backward rebuilds the phase)
+    # beyond its output, a taped (4096, 128) hidden layer keeps nothing: the
+    # sin and FINER backward recomputes z
     x, w, b = (Tensor(rng.standard_normal(s) / 8.0, requires_grad=True)
                for s in ((4096, 128), (128, 128), (128,)))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = T.linear(x, w, b, act=act, omega0=30.0)
-        held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-    finally:
-        tracemalloc.stop()
+    out, held, _ = traced(T.linear, x, w, b, act=act, omega0=30.0)
+    held -= out.data.nbytes
     assert held <= bound * out.data.nbytes, held / out.data.nbytes
     backward(out.sum())
     assert x.grad.shape == x.shape
@@ -339,26 +333,34 @@ def test_gabor_layer_float32_grads_match_float64(first, rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gabor_layer_works_in_place(dtype, rng):
-    # a taped (4096, 128) hidden layer allocates z, the output and one angle
-    # array in its forward, and the result and two scratch arrays in _gabor_dz
+    # a taped (4096, 128) hidden layer allocates z and the output in its
+    # forward (the angle is written over z's real half); its backward
+    # recomputes z, writes the gradient at z over it with two scratch
+    # arrays, then allocates the input gradient
     x, w, b = (Tensor((rng.standard_normal(s) / 8.0).astype(dtype), requires_grad=True)
                for s in ((2, 4096, 128), (128, 128), (128,)))
     g = rng.standard_normal((2, 4096, 128)).astype(dtype)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = T.gabor_layer(x, w, b, 20.0, 10.0)
-        forward_peak = tracemalloc.get_traced_memory()[1] - before
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out._backward(g)
-        backward_peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    out, _, forward_peak = traced(T.gabor_layer, x, w, b, 20.0, 10.0)
+    _, _, backward_peak = traced(out._backward, g)
     size = out.data.nbytes
     assert forward_peak <= 2.55 * size, forward_peak / size
     assert backward_peak <= 2.05 * size, backward_peak / size
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_gabor_node_holds_only_its_output(first, rng):
+    # beyond its output, a taped (4096, 128) hidden layer keeps nothing: the
+    # backward recomputes z
+    x = rng.uniform(-1.0, 1.0, (4096, 1)) if first else rng.standard_normal((2, 4096, 128))
+    x, w, b = (Tensor(v / 8.0, requires_grad=True)
+               for v in (x, rng.standard_normal((128, x.shape[-1])),
+                         rng.standard_normal(128)))
+    out, held, _ = traced(T.gabor_layer, x, w, b, 20.0, 10.0)
+    held -= out.data.nbytes
+    assert held <= 0.05 * out.data.nbytes, held / out.data.nbytes
+    backward(out.sum())
+    assert x.grad.shape == x.shape
 
 
 def test_gabor_layer_shape_errors():

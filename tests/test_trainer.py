@@ -1,7 +1,6 @@
 """Single-clip fitting loop, trace analysis, and the comparison harness."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,9 @@ from audioinr.trainer import (
 )
 from audioinr.wavio import AudioClip, wav_write
 from audioinr.inr import flatten_params
+from audioinr import tensor as T
+from memory import traced
+from unfused_ops import stored_z_gabor_layer, stored_z_linear
 from trace_stats import fraction_nonincreasing, moving_average
 
 FAST = (StftResolution(64, 16, 64),)
@@ -136,17 +138,30 @@ def test_fit_peak_memory_does_not_grow_with_steps(arch):
     fit_inr(clip, InrConfig(arch), TrainConfig(steps=1))   # warm the loss caches
 
     def peak(steps):
-        tracemalloc.start()
-        try:
-            res = fit_inr(clip, InrConfig(arch), TrainConfig(steps=steps))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        res, _, peak = traced(fit_inr, clip, InrConfig(arch), TrainConfig(steps=steps))
         assert all(p.grad is None for p in res.model.params)
         return peak
 
     one, three = peak(1), peak(3)
     assert three <= 1.05 * one, three / one
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+@pytest.mark.parametrize("arch", ["siren", "finer", "wire"])
+def test_recomputed_z_fit_matches_stored_z_fit(arch, precision, monkeypatch):
+    # the sin, FINER and Gabor backward recomputes z; a fit whose nodes keep
+    # z instead is bitwise the same
+    clip, cfg = toy_clip(2048), TrainConfig(steps=3, precision=precision)
+    got = fit_inr(clip, InrConfig(arch), cfg)
+    monkeypatch.setattr(T, "linear", stored_z_linear)
+    monkeypatch.setattr(T, "gabor_layer", stored_z_gabor_layer)
+    want = fit_inr(clip, InrConfig(arch), cfg)
+    assert got.loss_trace.dtype == want.loss_trace.dtype
+    assert np.array_equal(got.loss_trace, want.loss_trace)
+    got_flat, want_flat = flatten_params(got.model), flatten_params(want.model)
+    assert got_flat.dtype == want_flat.dtype == np.dtype(precision)
+    assert np.array_equal(got_flat, want_flat)
+    assert got.metrics == want.metrics
 
 
 def test_evaluate_matches_fit_metrics():

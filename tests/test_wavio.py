@@ -3,7 +3,6 @@
 import math
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from audioinr.wavio import (
     wav_read,
     wav_write,
 )
+from memory import traced
 
 
 def tone(sr, freq, seconds, amp=0.5):
@@ -110,12 +110,7 @@ def test_write_is_byte_equal_to_whole_file_writer(n, pcm16, tmp_path, rng):
 @pytest.mark.parametrize("pcm16", [False, True])
 def test_write_memory_is_one_block(pcm16, tmp_path, rng):
     clip = AudioClip(22050, rng.uniform(-1.0, 1.0, 2_000_000))
-    tracemalloc.start()
-    try:
-        wav_write(tmp_path / "long.wav", clip, pcm16=pcm16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(wav_write, tmp_path / "long.wav", clip, pcm16=pcm16)
     assert peak < 0.25 * clip.samples.nbytes
     assert len(wav_read(tmp_path / "long.wav")) == 2_000_000
 
@@ -164,12 +159,7 @@ def test_read_memory_is_the_clip_plus_one_block(tmp_path):
     # a 2-minute float-32 clip at 22.05 kHz; the whole-file reader peaked at 2.1x
     path = tmp_path / "long.wav"
     wav_write(path, AudioClip(22050, tone(22050, 440.0, 120.0)))
-    tracemalloc.start()
-    try:
-        clip = wav_read(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    clip, _, peak = traced(wav_read, path)
     assert clip.samples.size == 120 * 22050
     assert peak <= 1.2 * clip.samples.nbytes
 

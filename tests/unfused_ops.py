@@ -7,7 +7,9 @@ matrix product, a transpose, a bias add that broadcasts over rows, a
 trailing repeat, and the exp, cos and SiLU activations).  They live here,
 built on ``tensor._node`` and ``tensor._accum``, so the tests can rebuild
 each fused op out of separate nodes and compare; so does the gather and
-``np.bincount`` form of ``conv1d`` that the strided one replaced.
+``np.bincount`` form of ``conv1d`` that the strided one replaced, and
+the forms of ``linear`` and ``gabor_layer`` that keep z for the backward
+instead of recomputing it.
 """
 
 import math
@@ -129,6 +131,95 @@ def bincount_conv1d(x, w, b, stride=1, padding=0):
             _accum_fresh(x, dxp[:, padding:padding + t] if padding else dxp)
 
     return _node(out, (x, w) if b is None else (x, w, b), bwd)
+
+
+def stored_z_linear(x, w, b=None, act=None, omega0=1.0):
+    """Oracle for T.linear: the same node, but sin keeps its phase omega0 z
+    and FINER keeps z for the backward instead of recomputing z."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    z = x.data @ w.data.T
+    if b is not None:
+        b = _as_tensor(b)
+        if np.can_cast(b.data.dtype, z.dtype):
+            z += b.data
+        else:
+            z = z + b.data
+    if act is None or act == "relu":
+        out = z if act is None else np.maximum(z, 0.0, out=z)
+        dz = (lambda g: g) if act is None else (lambda g: g * (out > 0.0))
+    elif act == "sin":
+        s = z * omega0 if omega0 != 1.0 else z
+        out = np.sin(s)
+
+        def dz(g):
+            c = np.cos(s)
+            c *= g
+            return c * omega0 if omega0 != 1.0 else c
+    else:
+        out = np.sin(T._finer_phase(z, omega0))
+
+        def dz(g):
+            c = np.cos(T._finer_phase(z, omega0))
+            c *= g
+            if omega0 != 1.0:
+                c *= omega0
+            # d(z |z + 1|)/dz = |z + 1| + z sign(z + 1)
+            zp1 = z + 1.0
+            d = c * z
+            d *= np.sign(zp1)
+            c *= np.abs(zp1)
+            return c + d
+
+    def bwd(g):
+        g = dz(g)
+        if x.requires_grad:
+            _accum_fresh(x, g @ w.data)
+        if w.requires_grad:
+            _accum_fresh(w, g.T @ x.data)
+        if b is not None and b.requires_grad:
+            _accum_fresh(b, g.sum(axis=0))
+
+    return _node(out, (x, w) if b is None else (x, w, b), bwd)
+
+
+def stored_z_gabor_layer(x, w, b, omega0, s0):
+    """Oracle for T.gabor_layer: the same node, but it keeps z for the
+    backward instead of recomputing it."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    first = x.data.ndim == 2
+    n, d_out = x.shape[-2], w.shape[0]
+    xs = x.data.reshape(-1, x.shape[-1])
+    dt = np.result_type(x.data, w.data, b.data)
+    z = (xs @ w.data.T).astype(dt, copy=False).reshape(-1, n, d_out)
+    z[0] += b.data
+    expo = np.square(z[0])
+    if not first:
+        expo += np.square(z[1])
+    expo *= -s0 * s0
+    if not first:
+        expo += z[1] * -omega0
+    np.copyto(expo, -np.inf, where=expo < T.gabor_floor(expo.dtype))
+    mag = np.exp(expo)
+    ang = z[0] * omega0
+    out = np.stack([np.cos(ang) * mag, mag * np.sin(ang)])
+
+    def bwd(g):
+        re, im = out
+        k = 2.0 * s0 * s0
+        d_expo = g[0] * re + g[1] * im
+        dz = np.empty_like(z)
+        dz[0] = (g[1] * re - g[0] * im) * omega0 - z[0] * k * d_expo
+        if not first:
+            dz[1] = -(z[1] * k + omega0) * d_expo
+        dzs = dz.reshape(-1, d_out)
+        if x.requires_grad:
+            _accum_fresh(x, (dzs @ w.data).reshape(x.shape))
+        if w.requires_grad:
+            _accum_fresh(w, dzs.T @ xs)
+        if b.requires_grad:
+            _accum_fresh(b, dz[0].sum(axis=0))
+
+    return _node(out, (x, w, b), bwd)
 
 
 # -- unfused layer graphs ---------------------------------------------------------
