@@ -115,14 +115,6 @@ class FewSoundState:
             for group in ("enc.", "wenc.", "hyper."))
         self.target_embedding = target_embedding
 
-    def groups(self) -> dict[str, list[Tensor]]:
-        return {
-            "encoder": [p for _, p in self.encoder],
-            "weight_enc": [p for _, p in self.weight_enc],
-            "hyper": [p for _, p in self.hyper],
-            "theta": [self.theta],
-        }
-
     def named_params(self) -> list[tuple[str, Tensor]]:
         return [*self.encoder, *self.weight_enc, *self.hyper, ("theta", self.theta)]
 
@@ -167,11 +159,9 @@ def build_state(config: FewSoundConfig) -> FewSoundState:
     named = []
     for name, shape, fan_in in inr.fan_ins(plan):
         data = np.zeros(shape) if name in head else inr.uniform_init(rng, shape, fan_in)
-        named.append((name, Tensor(data.astype(dt, copy=False), requires_grad=True,
-                                   name=name)))
+        named.append((name, Tensor(data.astype(dt, copy=False), requires_grad=True)))
     universal = inr.build(config.target)
-    theta = Tensor(inr.flatten_params(universal).astype(dt, copy=False),
-                   requires_grad=True, name="theta")
+    theta = Tensor(inr.flatten_params(universal).astype(dt, copy=False), requires_grad=True)
     return FewSoundState(config, named + [("theta", theta)], universal.embedding)
 
 
@@ -285,7 +275,7 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
         raise ContractError("empty dataset")
 
     state = build_state(config)
-    times = np.linspace(-1.0, 1.0, config.window).astype(state.theta.data.dtype, copy=False)
+    times = inr.time_grid(config.window, state.theta.data.dtype)
     loss_fns = [make_combined_loss(w, config.lam_t, config.lam_f, resolutions,
                                    config.sample_rate, n_mels) for w in windows]
 
@@ -449,7 +439,7 @@ def reconstruct_long(state: FewSoundState | None, clip,
 
     with T.no_grad(), _one_blas_thread() as pinned:
         if render_fn is None:
-            times = np.linspace(-1.0, 1.0, window).astype(state.theta.data.dtype, copy=False)
+            times = inr.time_grid(window, state.theta.data.dtype)
             e_t = encode_weights(state)
 
             def render_fn(seg: np.ndarray) -> np.ndarray:

@@ -167,7 +167,7 @@ def leaves(vector: np.ndarray, plan) -> list[tuple[str, Tensor]]:
     dtype, cast copies otherwise."""
     vector, dt = np.asarray(vector), T.get_default_dtype()
     return [(name, Tensor(vector[off:off + k].reshape(shape).astype(dt, copy=False),
-                          requires_grad=True, name=name))
+                          requires_grad=True))
             for name, shape, off, k in _slices(plan, vector)]
 
 
@@ -207,9 +207,9 @@ def build(config: InrConfig, seed: int | None = None) -> InrModel:
     dt = T.get_default_dtype()
     embedding = frozen_embedding(config, rng)
     params = []
-    for i, (name, shape, fan_in) in enumerate(fan_ins(param_shapes(config))):
+    for i, (_, shape, fan_in) in enumerate(fan_ins(param_shapes(config))):
         data = _init_param(config, shape, fan_in, i < 2, rng)   # dense: W0, b0 first
-        params.append(Tensor(data.astype(dt, copy=False), requires_grad=True, name=name))
+        params.append(Tensor(data.astype(dt, copy=False), requires_grad=True))
     return InrModel(config, params, embedding)
 
 
@@ -270,6 +270,11 @@ def _sin_features(t2: Tensor, freq: np.ndarray, phase: np.ndarray) -> Tensor:
     a sin activation, in t2's dtype."""
     dt = t2.data.dtype
     return T.linear(t2, Tensor(freq.T.astype(dt)), Tensor(phase.astype(dt)), act="sin")
+
+
+def time_grid(n: int, dtype) -> np.ndarray:
+    """A clip's n sample times, spaced uniformly over [-1, 1], in ``dtype``."""
+    return np.linspace(-1.0, 1.0, n).astype(dtype, copy=False)
 
 
 def forward(model: InrModel, times) -> Tensor:

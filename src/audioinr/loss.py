@@ -174,7 +174,7 @@ def _resolution_terms(mh: Tensor, mx: Tensor, ref_norm: Tensor, log_mx: Tensor) 
     ``ref_norm`` and ``log_mx`` are the fixed target's guarded norm and
     log magnitudes."""
     diff_norm = (mx - mh).square().sum().sqrt()
-    sc = T.ew_binary("div", diff_norm, ref_norm)
+    sc = diff_norm / ref_norm
     log_l1 = (log_mx - mh.shift(LOG_EPS).log()).abs().mean()
     return sc + log_l1
 

@@ -12,6 +12,8 @@ are comparable.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -189,21 +191,22 @@ class MetricsReport:
         return out
 
     def to_csv(self) -> str:
-        """Per-clip rows then per-arch mean/std rows, fixed column order."""
-        header = "clip_id,arch,params," + ",".join(METRIC_COLUMNS)
-        lines = [header]
+        """Per-clip rows then per-arch mean/std rows, fixed column order, csv-quoted."""
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(["clip_id", "arch", "params", *METRIC_COLUMNS])
         for r in self.rows:
-            vals = ",".join(_fmt(r[m]) for m in METRIC_COLUMNS)
-            lines.append(f"{r['clip_id']},{r['arch']},{r['params']},{vals}")
+            out.writerow([r["clip_id"], r["arch"], r["params"],
+                          *(_fmt(r[m]) for m in METRIC_COLUMNS)])
         agg = self.aggregate()
         params_by_arch = {r["arch"]: r["params"] for r in self.rows}
         for arch in self.archs():
             for stat, j in (("mean", 0), ("std", 1)):
-                vals = ",".join(_fmt(agg[arch][m][j]) for m in METRIC_COLUMNS)
-                lines.append(f"{stat},{arch},{params_by_arch[arch]},{vals}")
+                out.writerow([stat, arch, params_by_arch[arch],
+                              *(_fmt(agg[arch][m][j]) for m in METRIC_COLUMNS)])
         for w in self.warnings:
-            lines.append(f"# warning: {w}")
-        return "\n".join(lines) + "\n"
+            buf.write(f"# warning: {w}\n")
+        return buf.getvalue()
 
     def write_csv(self, path) -> None:
         atomic_write_bytes(path, self.to_csv().encode())

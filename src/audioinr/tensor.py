@@ -12,6 +12,9 @@ consumed it.
 64-bit floats are the default; call ``set_default_dtype`` or use the
 ``default_dtype`` context manager for 32-bit runs.
 
+Elementwise ops (``+ - * /``, ``log``, ``abs``, ``square``, ``sqrt``,
+``relu``, ``scale``, ``shift``, ``clamp``, ``sin``) and the ``sum`` and
+``mean`` reductions are Tensor methods, each building its own node.
 There is no broadcasting: binary ops accept equal shapes only, and
 anything else is a ShapeError.  Scalars enter through ``scale`` and
 ``shift``; biases through ``linear``, the one matrix product.
@@ -103,10 +106,10 @@ class Tensor:
     the default dtype.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 _parents: tuple = (), _backward: Callable | None = None):
+    def __init__(self, data, requires_grad: bool = False, _parents: tuple = (),
+                 _backward: Callable | None = None):
         if isinstance(data, Tensor):
             data = data.data
         if not (isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.floating)):
@@ -114,7 +117,6 @@ class Tensor:
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.name = name
         self._parents = _parents
         self._backward = _backward
         self._id = next(_ids)
@@ -131,61 +133,81 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f", name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operators ---------------------------------------------------------
+    # -- elementwise operations ---------------------------------------------
 
     def __add__(self, other):
-        return ew_binary("add", self, other)
+        a, b = _pair(self, other)
+        return _node(a.data + b.data, (a, b), _passing((a, None), (b, None)))
 
     def __sub__(self, other):
-        return ew_binary("sub", self, other)
+        a, b = _pair(self, other)
+        return _node(a.data - b.data, (a, b), _passing((a, None), (b, lambda g: -g)))
 
     def __mul__(self, other):
-        return ew_binary("mul", self, other)
+        a, b = _pair(self, other)
+        x, y = a.data, b.data
+        return _node(x * y, (a, b), _passing((a, lambda g: g * y), (b, lambda g: g * x)))
 
     def __truediv__(self, other):
-        return ew_binary("div", self, other)
-
-    def sum(self, axis=None):
-        return reduce("sum", self, axis)
-
-    def mean(self, axis=None):
-        return reduce("mean", self, axis)
+        a, b = _pair(self, other)
+        x, y = a.data, b.data
+        if np.any(y == 0.0):
+            raise DomainError("division by zero")
+        return _node(x / y, (a, b),
+                     _passing((a, lambda g: g / y), (b, lambda g: -g * x / (y * y))))
 
     def sin(self):
-        return ew_unary("sin", self)
+        x = self.data
+        return _node(np.sin(x), (self,), _passing((self, lambda g: g * np.cos(x))))
 
     def log(self):
-        return ew_unary("log", self)
+        x = self.data
+        if np.any(x <= 0.0):
+            raise DomainError("log requires strictly positive inputs")
+        return _node(np.log(x), (self,), _passing((self, lambda g: g / x)))
 
     def abs(self):
-        return ew_unary("abs", self)
+        # subgradient 0 at exactly 0 (np.sign(0) == 0)
+        x = self.data
+        return _node(np.abs(x), (self,), _passing((self, lambda g: g * np.sign(x))))
 
     def square(self):
-        return ew_unary("square", self)
+        x = self.data
+        return _node(np.square(x), (self,), _passing((self, lambda g: g * (2.0 * x))))
 
     def sqrt(self):
-        return ew_unary("sqrt", self)
+        if np.any(self.data < 0.0):
+            raise DomainError("sqrt requires non-negative inputs")
+        out = np.sqrt(self.data)
+        return _node(out, (self,),
+                     _passing((self, lambda g: g * (0.5 / np.maximum(out, _SQRT_EPS)))))
 
     def relu(self):
-        return ew_unary("relu", self)
+        x = self.data
+        return _node(np.maximum(x, 0.0), (self,), _passing((self, lambda g: g * (x > 0.0))))
 
     def scale(self, alpha: float):
-        return ew_unary("scale", self, alpha)
+        return _node(alpha * self.data, (self,), _passing((self, lambda g: alpha * g)))
 
     def shift(self, alpha: float):
-        return ew_unary("shift", self, alpha)
+        return _node(self.data + alpha, (self,), _passing((self, None)))
 
     def clamp(self, lo: float, hi: float):
-        return ew_unary("clamp", self, (lo, hi))
+        x = self.data
+        return _node(np.clip(x, lo, hi), (self,),
+                     _passing((self, lambda g: g * ((x >= lo) & (x <= hi)))))
 
-    def reshape(self, shape):
-        return reshape(self, shape)
+    # -- reductions ----------------------------------------------------------
 
-    def backward(self):
-        backward(self)
+    def sum(self, axis=None):
+        bwd = _reduction(self, axis, mean=False)
+        return _node(np.asarray(np.sum(self.data, axis=axis)), (self,), bwd)
+
+    def mean(self, axis=None):
+        bwd = _reduction(self, axis, mean=True)
+        return _node(np.asarray(np.mean(self.data, axis=axis)), (self,), bwd)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
@@ -218,7 +240,50 @@ def _accum_fresh(t: Tensor, g: np.ndarray) -> None:
             t.grad += g
 
 
-# -- elementwise and linear-algebra operations ----------------------------
+def _pass_grad(t: Tensor, g: np.ndarray, dfn: Callable | None) -> None:
+    """Hand t the upstream ``g`` as is (``dfn`` None) or the fresh dfn(g)."""
+    if t.requires_grad:
+        if dfn is None:
+            _accum(t, g)
+        else:
+            _accum_fresh(t, dfn(g))
+
+
+def _pair(a: Tensor, b) -> tuple[Tensor, Tensor]:
+    """The operands of a binary op, which must have one shape."""
+    b = _as_tensor(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"shapes {a.shape} and {b.shape} differ; binary ops take "
+                         "equal shapes (scalars go through scale/shift)")
+    return a, b
+
+
+def _passing(*pairs: tuple[Tensor, Callable | None]) -> Callable:
+    """The backward of an elementwise node: each (parent, dfn) pair gets
+    dfn(g), or the upstream g itself where dfn is None."""
+    def bwd(g):
+        for t, dfn in pairs:
+            _pass_grad(t, g, dfn)
+    return bwd
+
+
+def _reduction(a: Tensor, axis: int | None, mean: bool) -> Callable:
+    """The backward of a sum (or mean) of a over ``axis``, all axes when
+    None: g spread back over a's shape (divided by the count for a mean)."""
+    if axis is not None and not (0 <= axis < a.data.ndim):
+        raise ShapeError(f"axis {axis} out of range for shape {a.shape}")
+    scale_back = 1.0 / (a.data.size if axis is None else a.shape[axis]) if mean else 1.0
+
+    def bwd(g):
+        if axis is None:
+            _accum(a, np.broadcast_to(np.asarray(g * scale_back, dtype=a.data.dtype), a.shape))
+        else:
+            _accum(a, np.broadcast_to(np.expand_dims(g, axis) * scale_back, a.shape))
+
+    return bwd
+
+
+# -- layer operations -------------------------------------------------------
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None, act: str | None = None,
@@ -434,105 +499,6 @@ def _gabor_dz(g: np.ndarray, out: np.ndarray, z: np.ndarray, omega0: float,
     d_ang *= omega0
     np.subtract(d_ang, z[0], out=z[0])
     return z
-
-
-def ew_unary(tag: str, a: Tensor, alpha=None) -> Tensor:
-    """Elementwise unary op; ``alpha`` parameterizes scale/shift/clamp."""
-    a = _as_tensor(a)
-    x = a.data
-    if tag == "sin":
-        out, dfn = np.sin(x), lambda g: g * np.cos(x)
-    elif tag == "log":
-        if np.any(x <= 0.0):
-            raise DomainError("log requires strictly positive inputs")
-        out, dfn = np.log(x), lambda g: g / x
-    elif tag == "abs":
-        # subgradient 0 at exactly 0 (np.sign(0) == 0)
-        out, dfn = np.abs(x), lambda g: g * np.sign(x)
-    elif tag == "square":
-        out, dfn = np.square(x), lambda g: g * (2.0 * x)
-    elif tag == "sqrt":
-        if np.any(x < 0.0):
-            raise DomainError("sqrt requires non-negative inputs")
-        out = np.sqrt(x)
-        dfn = lambda g: g * (0.5 / np.maximum(out, _SQRT_EPS))
-    elif tag == "relu":
-        out, dfn = np.maximum(x, 0.0), lambda g: g * (x > 0.0)
-    elif tag == "scale":
-        out, dfn = alpha * x, lambda g: alpha * g
-    elif tag == "shift":
-        out, dfn = x + alpha, None
-    elif tag == "clamp":
-        lo, hi = alpha
-        out = np.clip(x, lo, hi)
-        mask = (x >= lo) & (x <= hi)
-        dfn = lambda g: g * mask
-    else:
-        raise ContractError(f"unknown unary tag {tag!r}")
-
-    def bwd(g):
-        _pass_grad(a, g, dfn)
-
-    return _node(out, (a,), bwd)
-
-
-def ew_binary(tag: str, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise binary op on two tensors of one shape."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shapes {a.shape} and {b.shape} differ; binary ops take "
-                         "equal shapes (scalars go through scale/shift)")
-    x, y = a.data, b.data
-    if tag == "add":
-        out, da, db = x + y, None, None
-    elif tag == "sub":
-        out, da, db = x - y, None, lambda g: -g
-    elif tag == "mul":
-        out, da, db = x * y, lambda g: g * y, lambda g: g * x
-    elif tag == "div":
-        if np.any(y == 0.0):
-            raise DomainError("division by zero")
-        out, da, db = x / y, lambda g: g / y, lambda g: -g * x / (y * y)
-    else:
-        raise ContractError(f"unknown binary tag {tag!r}")
-
-    def bwd(g):
-        _pass_grad(a, g, da)
-        _pass_grad(b, g, db)
-
-    return _node(out, (a, b), bwd)
-
-
-def _pass_grad(t: Tensor, g: np.ndarray, dfn: Callable | None) -> None:
-    """Hand t the upstream ``g`` as is (``dfn`` None) or the fresh dfn(g)."""
-    if t.requires_grad:
-        if dfn is None:
-            _accum(t, g)
-        else:
-            _accum_fresh(t, dfn(g))
-
-
-def reduce(tag: str, a: Tensor, axis: int | None = None) -> Tensor:
-    a = _as_tensor(a)
-    if axis is not None:
-        if not (0 <= axis < a.data.ndim):
-            raise ShapeError(f"axis {axis} out of range for shape {a.shape}")
-    if tag == "sum":
-        out, scale_back = np.sum(a.data, axis=axis), 1.0
-    elif tag == "mean":
-        n = a.data.size if axis is None else a.shape[axis]
-        out, scale_back = np.mean(a.data, axis=axis), 1.0 / n
-    else:
-        raise ContractError(f"unknown reduce tag {tag!r}")
-
-    def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(np.asarray(g * scale_back, dtype=a.data.dtype),
-                                      a.shape))
-        else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis) * scale_back, a.shape))
-
-    return _node(np.asarray(out), (a,), bwd)
 
 
 # -- structural operations -------------------------------------------------

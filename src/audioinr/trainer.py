@@ -22,7 +22,7 @@ from . import tensor as T
 from .tensor import Tensor, ContractError
 from . import inr
 from .inr import InrConfig, InrModel
-from .loss import DEFAULT_RESOLUTIONS, StftResolution, make_combined_loss
+from .loss import DEFAULT_RESOLUTIONS, make_combined_loss
 from . import metrics as M
 from .optim import AdamW, run_steps
 from .wavio import AudioClip, WavError, wav_paths, wav_read
@@ -41,7 +41,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     resolutions: tuple = DEFAULT_RESOLUTIONS
     n_mels: int = 80
-    metric_res: StftResolution = M.DEFAULT_METRIC_RES
 
     def __post_init__(self):
         if self.steps < 1:
@@ -79,7 +78,7 @@ def fit_inr(clip: AudioClip, inr_config: InrConfig, train_config: TrainConfig) -
     started = time.monotonic()
     with T.default_dtype(train_config.precision):
         model = inr.build(inr_config)
-        times = Tensor(np.linspace(-1.0, 1.0, x.size).astype(T.get_default_dtype()))
+        times = Tensor(inr.time_grid(x.size, T.get_default_dtype()))
         loss_fn = make_combined_loss(x, train_config.lam_t, train_config.lam_f,
                                      train_config.resolutions, clip.sample_rate,
                                      train_config.n_mels)
@@ -87,20 +86,18 @@ def fit_inr(clip: AudioClip, inr_config: InrConfig, train_config: TrainConfig) -
                     weight_decay=train_config.weight_decay)
         trace = run_steps(opt, lambda step: loss_fn(model.forward(times)),
                           train_config.steps)
-    return FitResult(model, trace, evaluate(model, clip, train_config.metric_res),
-                     time.monotonic() - started)
+    return FitResult(model, trace, evaluate(model, clip), time.monotonic() - started)
 
 
-def evaluate(model: InrModel, clip: AudioClip,
-             metric_res: StftResolution = M.DEFAULT_METRIC_RES) -> dict[str, float]:
+def evaluate(model: InrModel, clip: AudioClip) -> dict[str, float]:
     """Render the model over the clip's [-1,1] time grid, in its parameters'
     dtype, and compute metrics."""
     if clip.samples.size == 0:
         raise ContractError("empty clip")
-    times = np.linspace(-1.0, 1.0, clip.samples.size).astype(model.params[0].data.dtype)
+    times = inr.time_grid(clip.samples.size, model.params[0].data.dtype)
     with T.no_grad():
         pred = model.forward(times).data.astype(np.float64)
-    return M.compute_all(clip.samples, pred, metric_res)
+    return M.compute_all(clip.samples, pred)
 
 
 def compare_archs(dataset, configs: Sequence[InrConfig], train_config: TrainConfig,

@@ -251,7 +251,7 @@ def test_optimizer_hand_values():
 
 
 def _theta_flat(state) -> np.ndarray:
-    return np.concatenate([p.data.reshape(-1) for p in state.groups()["theta"]])
+    return state.theta.data.copy()
 
 
 def test_hypernetwork_desk_scale():
@@ -287,13 +287,14 @@ def test_hypernetwork_desk_scale():
         pred = forward_from_flat(cfg.target, flat, times, state.target_embedding)
         loss = (pred - Tensor(window)).square().mean()
         backward(loss, leaves=leaves)
-        return {g: any(np.any(p.grad != 0.0) for p in ps)
-                for g, ps in state.groups().items()}
+        named = state.named_params()
+        return {g: any(np.any(p.grad != 0.0) for n, p in named if n.split(".")[0] == g)
+                for g in ("enc", "wenc", "hyper", "theta")}
 
     before = groups_with_grad()
     AdamW(state.named_params(), lr=1e-3).step()
     after = groups_with_grad()
-    parts["gradient reach"] = (before == {"encoder": False, "weight_enc": False,
+    parts["gradient reach"] = (before == {"enc": False, "wenc": False,
                                           "hyper": True, "theta": True}
                                and all(after.values()))
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temp files."""
 
+import csv
 import ctypes
 import glob
 import os
@@ -147,6 +148,24 @@ def test_compare_writes_csv(tmp_path, dataset_dir, capsys):
     assert len(clip_rows) == 4            # 2 clips x 2 archs
     assert sum(l.startswith("mean,") for l in lines) == 2
     assert sum(l.startswith("std,") for l in lines) == 2
+
+
+def test_compare_csv_keeps_ids_with_commas_and_quotes(tmp_path, capsys):
+    d = tmp_path / "odd"
+    d.mkdir()
+    names = ["a,b.wav", 'q"x.wav']
+    for name, clip in zip(names, toy_clips(2, n=2048)):
+        wav_write(d / name, clip)
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", str(d), "--out", str(out), "--archs", "siren,kan",
+               "--layers", "6", "--encoding-length", "3", "--grid-size", "4",
+               "--steps", "1", "--lambda-f", "0"])
+    assert rc == 0
+    capsys.readouterr()
+    with open(out, newline="") as f:
+        rows = [(r["clip_id"], r["arch"]) for r in csv.DictReader(f)]
+    assert rows == [(n, a) for a in ("siren", "kan") for n in names] \
+        + [(stat, a) for a in ("siren", "kan") for stat in ("mean", "std")]
 
 
 def test_compare_rejects_unknown_arch(tmp_path, dataset_dir, capsys):

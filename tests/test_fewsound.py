@@ -103,12 +103,11 @@ def test_state_param_count_matches_tensors():
 
 def test_state_groups_and_order():
     state = build_state(tiny_config())
-    groups = state.groups()
-    assert set(groups) == {"encoder", "weight_enc", "hyper", "theta"}
     names = [n for n, _ in state.named_params()]
+    assert {n.split(".")[0] for n in names} == {"enc", "wenc", "hyper", "theta"}
     assert names[0].startswith("enc.")
     assert names[-1] == "theta"
-    assert groups["theta"][0].data.size == param_count(tiny_config().target)
+    assert state.theta.data.size == param_count(tiny_config().target)
 
 
 def test_build_state_deterministic():
@@ -268,17 +267,16 @@ def test_gradients_reach_all_groups_after_one_step(rng):
                                  state.target_embedding)
         loss = (pred - T.Tensor(window)).square().mean()
         T.backward(loss, leaves=leaves)
-        return {g: any(np.any(p.grad != 0.0) for p in ps)
-                for g, ps in state.groups().items()}
+        named = state.named_params()
+        return {g: any(np.any(p.grad != 0.0) for n, p in named if n.split(".")[0] == g)
+                for g in ("enc", "wenc", "hyper", "theta")}
 
     first = grads_by_group()
     # the zero output layer blocks gradient flow into both encoders at first
-    assert first == {"encoder": False, "weight_enc": False,
-                     "hyper": True, "theta": True}
+    assert first == {"enc": False, "wenc": False, "hyper": True, "theta": True}
     AdamW(state.named_params(), lr=1e-3).step()
     second = grads_by_group()
-    assert second == {"encoder": True, "weight_enc": True,
-                      "hyper": True, "theta": True}
+    assert second == {"enc": True, "wenc": True, "hyper": True, "theta": True}
 
 
 # -- meta-training -------------------------------------------------------------------

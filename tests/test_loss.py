@@ -302,7 +302,7 @@ def per_step_loss(x, xh: Tensor, resolutions) -> Tensor:
         mx = Tensor(loss_mod._mel_mag(tgt, res, 22050, 8).data)
         mh = loss_mod._mel_mag(xh, res, 22050, 8)
         ref_norm = mx.square().sum().sqrt().clamp(loss_mod.NORM_GUARD, math.inf)
-        term = T.ew_binary("div", (mx - mh).square().sum().sqrt(), ref_norm) \
+        term = (mx - mh).square().sum().sqrt() / ref_norm \
             + (mx.shift(LOG_EPS).log() - mh.shift(LOG_EPS).log()).abs().mean()
         total = term if total is None else total + term
     return out + total.scale(1.0 / len(resolutions))
