@@ -13,17 +13,20 @@ The state's layout is one plan, ``_state_plan``: the four groups in
 order, theta last.  Every parameter but theta draws ``inr.uniform_init``
 in plan order; the hypernetwork's output layer starts at zero instead,
 so before any training the adapted network is exactly the universal one.
-Training and rendering take one route: ``adapted_flat`` (theta + delta
-on the tape), then ``inr.forward_from_flat``.
+Training and rendering take one route: theta + delta on the tape, then
+``inr.forward_from_flat``.  Rendering adapts one window at a time
+(``adapted_flat``); meta-training runs the update head once per batch,
+one row per clip, so the head's weights are read and their gradient
+formed once per step, not once per clip.
 
 Arbitrary-length audio is reconstructed window by window (50% overlap,
 final window right-aligned) and blended with a half-sample-offset Hann
 crossfade normalized to sum to one at every sample: each window's weight
 is the crossfade divided by a 1-D per-sample sum of all crossfades, so
-no (windows x samples) matrix is built.  Windows render without a tape
-(``tensor.no_grad``) on one thread per CPU, with BLAS held to one thread,
-so memory holds the model, the output, the normalizer and one window's
-working set per worker.
+no (windows x samples) matrix is built.  Windows render on one thread
+per CPU, each worker inside its own ``tensor.no_grad`` (grad mode is per
+thread), with BLAS held to one thread, so memory holds the model, the
+output, the normalizer and one window's working set per worker.
 """
 
 from __future__ import annotations
@@ -216,19 +219,28 @@ def encode_weights(state: FewSoundState) -> Tensor:
     return T.reshape(h, (cfg.embed_dim,))
 
 
-def predict_update(state: FewSoundState, e_s: Tensor, e_theta: Tensor) -> Tensor:
-    """Delta-theta of length param_count(target) from the two embeddings."""
+def predict_update(state: FewSoundState, e_s: Tensor | Sequence[Tensor],
+                   e_theta: Tensor) -> Tensor:
+    """Delta-theta from the embeddings: of length param_count(target) for
+    one E_S, or (B, param_count(target)) for a list of B, row b from
+    [E_S_b | E_theta].  Each hypernetwork layer is one ``linear`` over
+    all B rows, so the head's weights are read, and their gradient
+    written, once per batch."""
     cfg = state.config
-    if e_s.shape != (cfg.embed_dim,) or e_theta.shape != (cfg.embed_dim,):
-        raise ShapeError(f"embeddings must both be ({cfg.embed_dim},), "
-                         f"got {e_s.shape} and {e_theta.shape}")
-    h = T.reshape(T.concat([e_s, e_theta]), (1, 2 * cfg.embed_dim))
+    one = isinstance(e_s, Tensor)
+    rows = [e_s] if one else list(e_s)
+    shapes = [e.shape for e in rows] + [e_theta.shape]
+    if not rows or any(s != (cfg.embed_dim,) for s in shapes):
+        raise ShapeError(f"embeddings must all be ({cfg.embed_dim},), got "
+                         f"{', '.join(map(str, shapes))}")
+    h = T.concat([e for e_b in rows for e in (e_b, e_theta)])
+    h = T.reshape(h, (len(rows), 2 * cfg.embed_dim))
     n_layers = len(state.hyper) // 2
     p = dict(state.hyper)
     for i in range(n_layers):
         h = T.linear(h, p[f"hyper.l{i}.w"], p[f"hyper.l{i}.b"],
                      act="relu" if i < n_layers - 1 else None)
-    return T.reshape(h, (h.shape[1],))
+    return T.reshape(h, (h.shape[1],)) if one else h
 
 
 def adapted_flat(state: FewSoundState, window, e_theta: Tensor | None = None) -> Tensor:
@@ -258,11 +270,14 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
     """Joint training of all four groups; returns (state, per-epoch mean loss).
 
     Each clip contributes its first ``window`` samples.  Every batch
-    computes E_theta once, adapts each clip with it, renders the
-    window's [-1,1] time grid, and sums the combined losses; AdamW steps
-    once per batch (``optim.run_steps``, epochs x batches steps) under a
-    one-cycle schedule.  A non-finite batch loss raises ContractError
-    ("non-finite loss at step S") before that step.
+    computes E_theta once and E_S for each clip, then runs the update
+    head once over the whole batch (``predict_update`` with the list of
+    E_S).  Clip b is adapted with theta + row b of that delta and
+    rendered over the window's [-1,1] time grid, and the batch's
+    combined losses are summed.  AdamW steps once per batch
+    (``optim.run_steps``, epochs x batches steps) under a one-cycle
+    schedule.  A non-finite batch loss raises ContractError ("non-finite
+    loss at step S") before that step.
     """
     windows = []
     for i, c in enumerate(clips):
@@ -276,6 +291,7 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
 
     state = build_state(config)
     times = inr.time_grid(config.window, state.theta.data.dtype)
+    p_count = state.theta.size
     loss_fns = [make_combined_loss(w, config.lam_t, config.lam_f, resolutions,
                                    config.sample_rate, n_mels) for w in windows]
 
@@ -286,10 +302,13 @@ def meta_train(clips: Sequence, config: FewSoundConfig,
     sched = OneCycleSchedule(max_lr=config.lr, total_steps=config.epochs * len(batches))
 
     def batch_loss(step: int) -> Tensor:
-        total = None
+        batch = batches[step % len(batches)]
         e_t = encode_weights(state)
-        for ci in batches[step % len(batches)]:
-            flat = adapted_flat(state, windows[ci], e_t)
+        e_s = [encode_audio(state, windows[ci]) for ci in batch]
+        delta = T.reshape(predict_update(state, e_s, e_t), (len(batch) * p_count,))
+        total = None
+        for b, ci in enumerate(batch):
+            flat = state.theta + T.narrow(delta, b * p_count, p_count)
             pred = inr.forward_from_flat(config.target, flat, times, state.target_embedding)
             term = loss_fns[ci](pred)
             total = term if total is None else total + term
@@ -403,12 +422,13 @@ def reconstruct_long(state: FewSoundState | None, clip,
     order.  While the pool runs, numpy's OpenBLAS is held to one thread
     (its count is restored on return or raise), so the output does not
     depend on BLAS's thread count; where no OpenBLAS thread control is
-    found, the pool has one worker.  The calling thread holds one
-    ``tensor.no_grad`` around the pool, so ``render_fn``, custom or
-    default, runs from worker threads without a tape; an error it raises
-    is re-raised here.  Both the pin and ``no_grad`` are process-wide, so
-    calls must not overlap in one process.  Besides the output, memory
-    holds the 1-D normalizer and one window's working set per worker.
+    found, the pool has one worker.  E_theta is encoded once, untaped, in
+    the calling thread.  Each worker runs ``render_fn``, custom or
+    default, inside its own ``tensor.no_grad`` and under the caller's
+    default dtype, since both are per thread; an error it raises is
+    re-raised here.  Only the BLAS pin is process-wide, so calls must
+    not overlap in one process.  Besides the output, memory holds the
+    1-D normalizer and one window's working set per worker.
     """
     x = np.asarray(getattr(clip, "samples", clip), dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
@@ -437,6 +457,7 @@ def reconstruct_long(state: FewSoundState | None, clip,
     # process importing audioinr would pay otherwise
     from concurrent.futures import ThreadPoolExecutor
 
+    dtype = T.get_default_dtype()
     with T.no_grad(), _one_blas_thread() as pinned:
         if render_fn is None:
             times = inr.time_grid(window, state.theta.data.dtype)
@@ -446,12 +467,17 @@ def reconstruct_long(state: FewSoundState | None, clip,
                 return inr.forward_from_flat(state.config.target, adapted_flat(state, seg, e_t),
                                              times, state.target_embedding).data
 
+        def render(seg: np.ndarray):
+            # grad mode and the default dtype are the worker thread's own
+            with T.default_dtype(dtype), T.no_grad():
+                return render_fn(seg)
+
         workers = _render_workers() if pinned else 1
         pool = ThreadPoolExecutor(workers)
         in_flight = deque()
         try:
             for s in starts:
-                in_flight.append((s, pool.submit(render_fn, x[s:s + window])))
+                in_flight.append((s, pool.submit(render, x[s:s + window])))
                 if len(in_flight) == 2 * workers:
                     blend(*in_flight.popleft())
             while in_flight:

@@ -40,10 +40,6 @@ class StftResolution:
                 f"need 0 < hop <= window <= fft, got ({self.fft_size}, "
                 f"{self.hop_size}, {self.window_size})")
 
-    @property
-    def bins(self) -> int:
-        return self.fft_size // 2 + 1
-
 
 DEFAULT_RESOLUTIONS = (
     StftResolution(512, 128, 512),
@@ -113,10 +109,6 @@ class MelFilterbank:
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
 _fb_cache: dict[tuple, MelFilterbank] = {}

@@ -6,9 +6,10 @@ not depend on gradient magnitudes.  The schedule ramps with a cosine
 from max_lr/div_factor up to max_lr over the warmup fraction of steps,
 then anneals with a cosine down to max_lr/final_div_factor.
 
-AdamW owns and mutates its parameters' arrays: each ``p.data`` is
-replaced by a private copy, which step() updates in place, block by
-block, so no full-size temporary is allocated.
+AdamW owns and mutates its parameters' arrays, which step() updates in
+place, block by block, so no full-size temporary is allocated.  It
+adopts a ``p.data`` that only its Tensor refers to and replaces any
+other with a private copy.
 
 ``run_steps`` is the one training loop, for single-clip fits and
 FewSound meta-training alike.  It frees each step's graph after the
@@ -20,6 +21,7 @@ takes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,10 +39,13 @@ _BLOCK = 2 ** 14
 class AdamW:
     """Holds per-parameter moments; step() consumes .grad buffers.
 
-    The optimizer owns its parameters' arrays: construction replaces each
-    ``p.data`` with a private copy, and step() updates that copy in
-    place, so an array a caller handed in is never written.  An array
-    assigned to ``p.data`` later is copied the same way at the next step.
+    The optimizer owns its parameters' arrays and step() updates them in
+    place.  Construction adopts a ``p.data`` that only ``p`` refers to (it
+    owns its memory, is C-contiguous and writeable, and no other object
+    holds it), as a freshly built parameter is, and replaces any other
+    with a private copy, so an array a caller handed in and still holds
+    is never written.  An array assigned to ``p.data`` later is adopted
+    or copied by the same rule at the next step.
     The moments come from ``np.zeros``, whose large arrays are fresh
     zero pages rather than an explicit fill, and live as long as the
     optimizer.  step() reads the gradients and frees nothing;
@@ -70,7 +75,11 @@ class AdamW:
 
     @staticmethod
     def _own(p: Tensor) -> np.ndarray:
-        p.data = np.array(p.data, order="C")
+        data = p.data
+        # three references: p's slot, this local and getrefcount's argument
+        sole = data.base is None and sys.getrefcount(data) <= 3
+        if not (sole and data.flags.c_contiguous and data.flags.writeable):
+            p.data = np.array(data, order="C")
         return p.data
 
     def step(self, lr: float | None = None) -> None:

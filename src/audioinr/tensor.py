@@ -10,7 +10,10 @@ operations record nothing, so a render that is never differentiated
 frees each intermediate value as soon as the next operation has
 consumed it.
 64-bit floats are the default; call ``set_default_dtype`` or use the
-``default_dtype`` context manager for 32-bit runs.
+``default_dtype`` context manager for 32-bit runs.  Grad mode and the
+default dtype are per thread: every thread starts taping, in float64,
+and ``no_grad`` or ``default_dtype`` in one thread leaves the others'
+as they were.
 
 Elementwise ops (``+ - * /``, ``log``, ``abs``, ``square``, ``sqrt``,
 ``relu``, ``scale``, ``shift``, ``clamp``, ``sin``) and the ``sum`` and
@@ -32,6 +35,7 @@ input and accumulates its input gradient one kernel tap at a time.
 from __future__ import annotations
 
 import itertools
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -50,8 +54,14 @@ class ContractError(ValueError):
     """An operation was called in a way its contract forbids."""
 
 
-_DEFAULT_DTYPE = np.float64
-_GRAD_ENABLED = True
+class _Mode(threading.local):
+    """This thread's default dtype and grad mode; the class attributes are
+    every thread's starting values."""
+    dtype = np.float64
+    grad = True
+
+
+_mode = _Mode()
 _ids = itertools.count()
 
 # guard used when differentiating sqrt/magnitude at zero
@@ -59,22 +69,21 @@ _SQRT_EPS = 1e-12
 
 
 def set_default_dtype(dtype) -> None:
-    """Set the dtype used when wrapping plain data in Tensors ('float32'/'float64')."""
-    global _DEFAULT_DTYPE
+    """Set this thread's dtype for wrapping plain data in Tensors ('float32'/'float64')."""
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ContractError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
+    _mode.dtype = dt.type
 
 
 def get_default_dtype():
-    return _DEFAULT_DTYPE
+    return _mode.dtype
 
 
 @contextmanager
 def default_dtype(dtype):
-    """Temporarily switch the default dtype (restored on exit)."""
-    prev = _DEFAULT_DTYPE
+    """Temporarily switch this thread's default dtype (restored on exit)."""
+    prev = _mode.dtype
     set_default_dtype(dtype)
     try:
         yield
@@ -84,26 +93,28 @@ def default_dtype(dtype):
 
 @contextmanager
 def no_grad():
-    """Record no tape inside the block: every result has no parents and
-    requires_grad=False.  Nests; the previous state returns on exit."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Record no tape in this thread inside the block: every result has no
+    parents and requires_grad=False.  Nests; the previous state returns
+    on exit."""
+    prev = _mode.grad
+    _mode.grad = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _mode.grad = prev
 
 
 class Tensor:
     """N-d value array, optionally tracking gradients through a tape.
 
     ``data`` is a numpy array and is never mutated by operations.  AdamW
-    owns the arrays of the parameters it steps: it replaces each leaf's
-    ``data`` with a private copy and mutates that copy in place between
-    steps, after the step's graph has been consumed.  Float arrays are
-    kept as given; anything else (lists, integer or bool arrays) becomes
-    the default dtype.
+    owns the arrays of the parameters it steps and mutates them in place
+    between steps, after the step's graph has been consumed.  It keeps a
+    leaf's ``data`` when only the leaf refers to it (an array that owns
+    its C-contiguous, writeable memory) and replaces it with a private
+    copy otherwise, so an array a caller still holds is never written.
+    Float arrays are kept as given; anything else (lists, integer or bool
+    arrays) becomes the default dtype.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id")
@@ -113,7 +124,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         if not (isinstance(data, np.ndarray) and np.issubdtype(data.dtype, np.floating)):
-            data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+            data = np.asarray(data, dtype=_mode.dtype)
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
@@ -211,7 +222,7 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], bwd: Callable) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _mode.grad and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=bwd)
     return Tensor(data)
 
@@ -446,7 +457,10 @@ def gabor_layer(x: Tensor, w: Tensor, b: Tensor, omega0: float, s0: float) -> Te
     expo *= -s0 * s0
     if not first:
         expo += np.multiply(z[1], -omega0, out=re)
-    np.copyto(expo, -np.inf, where=expo < gabor_floor(expo.dtype))
+    # re is scratch until cos fills it: the floor's mask goes there, as bools
+    below = np.less(expo, gabor_floor(expo.dtype),
+                    out=re.view(np.uint8)[:, :d_out].view(np.bool_))
+    np.copyto(expo, -np.inf, where=below)
     mag = np.exp(expo, out=expo)
     ang = z_re                  # z is spent: the angle is written over its real half
     ang *= omega0

@@ -48,9 +48,6 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise ContractError("samples contain non-finite values")
 
-    def __len__(self) -> int:
-        return self.samples.size
-
 
 def wav_read(path) -> AudioClip:
     """PCM-16 or float-32, mono or stereo (averaged), as a float64 clip.

@@ -194,7 +194,7 @@ def test_meta_train_then_reconstruct(tmp_path, dataset_dir, clip_path, capsys):
     assert main(["reconstruct", state, clip_path, "--out", out_wav]) == 0
     capsys.readouterr()
     rec = wav_read(out_wav)
-    assert len(rec) == 256
+    assert rec.samples.size == 256
     assert np.all(np.isfinite(rec.samples))
 
 

@@ -211,6 +211,24 @@ def test_predict_update_shapes(rng):
         predict_update(state, T.Tensor(np.zeros(3)), e)
 
 
+def test_predict_update_takes_a_batch_of_embeddings(rng):
+    # one row per E_S, each close to that E_S's own (P,) update; the rows
+    # come from one GEMM per layer, so they may round differently
+    state = random_state(rng)
+    e_s = [T.Tensor(rng.standard_normal(4)) for _ in range(3)]
+    e_t = T.Tensor(rng.standard_normal(4))
+    rows = predict_update(state, e_s, e_t)
+    assert rows.shape == (3, state.theta.size)
+    for row, e in zip(rows.data, e_s):
+        want = predict_update(state, e, e_t).data
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+    for bad in ([], [e_t, T.Tensor(np.zeros(3))]):
+        with pytest.raises(ShapeError):
+            predict_update(state, bad, e_t)
+    with pytest.raises(ShapeError):
+        predict_update(state, e_s, T.Tensor(np.zeros(5)))
+
+
 def test_fresh_state_adapts_to_the_universal_network(rng):
     # the hypernetwork's zero output layer means delta == 0 before training
     cfg = tiny_config()
@@ -402,6 +420,30 @@ def test_meta_train_matches_per_clip_weight_encoding():
     assert not np.array_equal(want, state_flatten(build_state(cfg)))
 
 
+def test_meta_train_runs_the_update_head_once_per_step(monkeypatch):
+    # three clips in one batch, two epochs: two steps, two head passes
+    calls = []
+    head = fewsound.predict_update
+
+    def counted(state, e_s, e_theta):
+        calls.append(len(e_s))
+        return head(state, e_s, e_theta)
+
+    monkeypatch.setattr(fewsound, "predict_update", counted)
+    cfg = tiny_config()
+    meta_train(_toy_windows(3, cfg.window), cfg, resolutions=FAST, n_mels=4)
+    assert calls == [3, 3]
+
+
+def test_meta_train_with_batches_of_one_equals_per_clip_oracle():
+    cfg = tiny_config(lam_f=1.0, batch_size=1)
+    clips = _toy_windows(3, cfg.window)
+    state, trace = meta_train(clips, cfg, resolutions=FAST, n_mels=4)
+    want_state, want_trace = per_clip_meta_train(clips, cfg, FAST, 4)
+    assert np.array_equal(trace, want_trace)
+    assert np.array_equal(state_flatten(state), state_flatten(want_state))
+
+
 def test_adapted_loss_matches_unfused_dense_graph(monkeypatch, rng):
     cfg = tiny_config()
     state = build_state(cfg)
@@ -561,15 +603,20 @@ def random_state(rng, **over):
     return state
 
 
-def test_reconstruct_holds_one_no_grad_in_the_caller(monkeypatch, rng):
+def test_reconstruct_workers_render_under_their_own_no_grad(monkeypatch, rng):
+    # grad mode and the default dtype are per thread: the caller encodes
+    # E_theta inside one no_grad, each window renders inside its worker's
+    # own, under the caller's default dtype, and the caller tapes again after
     entered, outputs = [], []
     no_grad, forward = T.no_grad, fewsound.inr.forward_from_flat
+    caller = threading.current_thread()
 
     def recorded_no_grad():
         entered.append(threading.current_thread())
         return no_grad()
 
     def recorded_forward(*args, **kwargs):
+        assert not T._mode.grad
         outputs.append(forward(*args, **kwargs))
         return outputs[-1]
 
@@ -579,20 +626,23 @@ def test_reconstruct_holds_one_no_grad_in_the_caller(monkeypatch, rng):
     state = random_state(rng)
     x = rng.uniform(-0.5, 0.5, 300)
     reconstruct_long(state, x)
-    assert entered == [threading.current_thread()]
-    assert len(outputs) == len(window_plan(x.size, 64))
+    windows = len(window_plan(x.size, 64))
+    assert entered[0] is caller and len(entered) == 1 + windows
+    assert caller not in entered[1:]
+    assert len(outputs) == windows
     assert all(y._parents == () and not y.requires_grad for y in outputs)
-    assert T._GRAD_ENABLED
+    assert T._mode.grad
 
     def render(seg):
-        assert not T._GRAD_ENABLED
+        assert threading.current_thread() is not caller
+        assert not T._mode.grad and T.get_default_dtype() == np.float32
         if seg[0] > 0.4:
             raise ValueError("too loud")
         return seg
 
-    with pytest.raises(ValueError, match="too loud"):
+    with T.default_dtype("float32"), pytest.raises(ValueError, match="too loud"):
         reconstruct_long(None, np.linspace(0.0, 1.0, 300), render_fn=render, window=64)
-    assert T._GRAD_ENABLED
+    assert T._mode.grad and T.get_default_dtype() == np.float64
 
 
 class RenderFailed(Exception):

@@ -6,7 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
-from audioinr import optim
+from audioinr import fewsound, optim, trainer
+from audioinr.inr import InrConfig
+from audioinr.loss import StftResolution
+from audioinr.toydata import sine_mixture
+from audioinr.wavio import AudioClip
 from audioinr.optim import AdamW, OneCycleSchedule, one_cycle_lr, run_steps
 from audioinr.tensor import ContractError, ShapeError, Tensor, backward
 
@@ -100,6 +104,67 @@ def test_caller_arrays_are_never_written(rng):
     opt.step()
     np.testing.assert_array_equal(later, kept)
     assert not np.array_equal(p.data, kept)
+
+
+def test_adopts_an_array_only_its_tensor_holds(rng):
+    p = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    address = p.data.ctypes.data
+    opt = AdamW([("p", p)], lr=0.1)
+    for _ in range(2):
+        p.grad = rng.standard_normal((4, 3))
+        opt.step()
+    assert p.data.ctypes.data == address
+    # a fresh array assigned between steps is adopted the same way
+    p.data = rng.standard_normal((4, 3))
+    address = p.data.ctypes.data
+    p.grad = rng.standard_normal((4, 3))
+    opt.step()
+    assert p.data.ctypes.data == address
+
+
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("make", [lambda a: a[:, :3], np.asfortranarray, read_only],
+                         ids=["view", "fortran", "read-only"])
+def test_copies_an_array_it_cannot_own(make, rng):
+    # only p refers to each array (the view through its base), but a view
+    # does not own its memory, and AdamW writes only C-contiguous memory
+    p = Tensor(make(rng.standard_normal((4, 6))), requires_grad=True)
+    given, address = p.data.copy(), p.data.ctypes.data
+    opt = AdamW([("p", p)], lr=0.1)
+    p.grad = rng.standard_normal(p.shape)
+    opt.step()
+    assert p.data.ctypes.data != address
+    assert p.data.flags.c_contiguous and p.data.flags.writeable
+    assert not np.array_equal(p.data, given)
+
+
+def test_fit_and_meta_train_hand_over_their_arrays(monkeypatch):
+    # both build their parameters fresh, so AdamW adopts every one
+    kept = []
+
+    class Recording(AdamW):
+        def __init__(self, named_params, **kwargs):
+            named_params = list(named_params)
+            before = [p.data.ctypes.data for _, p in named_params]
+            super().__init__(named_params, **kwargs)
+            kept.append(before == [p.data.ctypes.data for _, p in named_params])
+
+    monkeypatch.setattr(trainer, "AdamW", Recording)
+    monkeypatch.setattr(fewsound, "AdamW", Recording)
+    clip = AudioClip(22050, sine_mixture(256))
+    trainer.fit_inr(clip, InrConfig("kan", hidden=(4,), grid_size=4),
+                    trainer.TrainConfig(steps=1, lam_f=0.0))
+    cfg = fewsound.FewSoundConfig(InrConfig("siren", hidden=(4,)), window=64, embed_dim=4,
+                                  conv0_channels=2, encoder_channels=(2, 2),
+                                  weight_enc_hidden=4, hyper_hidden=(8,), lam_f=0.0,
+                                  epochs=1, lr=1e-3)
+    fewsound.meta_train([clip.samples], cfg, resolutions=(StftResolution(32, 8, 32),),
+                        n_mels=4)
+    assert kept == [True, True]
 
 
 def test_failed_step_writes_nothing():

@@ -1,4 +1,5 @@
 import operator
+import threading
 
 import numpy as np
 import pytest
@@ -354,6 +355,16 @@ def test_gabor_layer_works_in_place(dtype, rng):
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gabor_forward_peaks_at_z_and_its_output(dtype, rng):
+    # the floor's mask is written over the output's real half, so a taped
+    # (2, 4096, 128) layer's forward allocates z and the output and little else
+    x, w, b = (Tensor((rng.standard_normal(s) / 8.0).astype(dtype), requires_grad=True)
+               for s in ((2, 4096, 128), (128, 128), (128,)))
+    out, _, forward_peak = traced(T.gabor_layer, x, w, b, 20.0, 10.0)
+    assert forward_peak <= 2.01 * out.data.nbytes, forward_peak / out.data.nbytes
+
+
 @pytest.mark.parametrize("first", [True, False])
 def test_gabor_node_holds_only_its_output(first, rng):
     # beyond its output, a taped (4096, 128) hidden layer keeps nothing: the
@@ -697,3 +708,32 @@ def test_no_grad_nests_and_restores_after_raise(rng):
         with T.no_grad():
             x.shift(-2.0).log()
     assert (x * x)._parents == (x, x)
+
+
+def test_grad_mode_and_default_dtype_are_per_thread(rng):
+    # a thread inside no_grad and a float32 default leaves another thread
+    # taping in float64, and starts untouched by the other's settings
+    inside, done, seen = threading.Event(), threading.Event(), {}
+
+    def other():
+        seen["start"] = (T._mode.grad, T.get_default_dtype())
+        with T.no_grad(), T.default_dtype("float32"):
+            inside.set()
+            done.wait(10.0)
+            x = leaf([1.0, 2.0])
+            seen["inside"] = (x.scale(2.0).requires_grad, Tensor([1, 2]).data.dtype)
+
+    with T.default_dtype("float32"):
+        thread = threading.Thread(target=other)
+        thread.start()
+        assert inside.wait(10.0)
+    try:
+        x = leaf(rng.standard_normal(3))
+        y = x.scale(2.0)
+        assert y.requires_grad and y._parents == (x,)
+        assert Tensor([1, 2]).data.dtype == np.float64
+    finally:
+        done.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+    assert seen == {"start": (True, np.float64), "inside": (False, np.float32)}

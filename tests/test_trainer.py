@@ -1,6 +1,8 @@
 """Single-clip fitting loop, trace analysis, and the comparison harness."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from audioinr.trainer import (
 )
 from audioinr.wavio import AudioClip, wav_write
 from audioinr.inr import flatten_params
+from audioinr import fewsound
 from audioinr import tensor as T
 from memory import traced
 from unfused_ops import stored_z_gabor_layer, stored_z_linear
@@ -162,6 +165,42 @@ def test_recomputed_z_fit_matches_stored_z_fit(arch, precision, monkeypatch):
     assert got_flat.dtype == want_flat.dtype == np.dtype(precision)
     assert np.array_equal(got_flat, want_flat)
     assert got.metrics == want.metrics
+
+
+def test_fits_on_two_threads_match_their_sequential_runs():
+    # grad mode and the default dtype are per thread: a float32 SIREN fit
+    # and a float64 KAN fit, switching threads as often as the interpreter
+    # allows, give their one-thread results bit for bit (BLAS on one
+    # thread, so its own threads play no part)
+    clip = toy_clip(4096)
+    jobs = [(InrConfig("siren"), quick_config(steps=3, lam_f=1.0, precision="float32")),
+            (InrConfig("kan"), quick_config(steps=3, lam_f=1.0))]
+
+    def summary(result):
+        return (result.loss_trace, flatten_params(result.model), result.metrics)
+
+    with fewsound._one_blas_thread():
+        want = [summary(fit_inr(clip, *job)) for job in jobs]
+        got = [None, None]
+
+        def fit(i):
+            got[i] = summary(fit_inr(clip, *jobs[i]))
+
+        threads = [threading.Thread(target=fit, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (trace, params, metrics), (want_trace, want_params, want_metrics) in zip(got, want):
+        assert np.array_equal(trace, want_trace)
+        assert np.array_equal(params, want_params)
+        assert metrics == want_metrics
 
 
 def test_evaluate_matches_fit_metrics():

@@ -281,6 +281,11 @@ def unfused_wire_forward(cfg, plist, t2):
     return T.reshape(T.linear(re, plist[-2], plist[-1]), (t2.shape[0],))
 
 
+def bins(res: StftResolution) -> int:
+    """Frequency bins of one STFT resolution's rfft."""
+    return res.fft_size // 2 + 1
+
+
 def chain_stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
     """The STFT as a tape chain of framing, a window multiply and two
     matmuls against cos/-sin DFT matrices, then sqrt(re^2 + im^2).  The
@@ -294,7 +299,7 @@ def chain_stft_mag(signal: Tensor, res: StftResolution) -> Tensor:
     frames = _node(signal.data[idx], (signal,), frame_bwd)
     wf = frames * Tensor(np.broadcast_to(hann_window(res.window_size), frames.shape))
     ang = (2.0 * math.pi / res.fft_size) * np.outer(np.arange(res.window_size),
-                                                    np.arange(res.bins))
+                                                    np.arange(bins(res)))
     re = matmul(wf, Tensor(np.cos(ang)))
     im = matmul(wf, Tensor(-np.sin(ang)))
     return (re.square() + im.square()).sqrt()
